@@ -22,6 +22,7 @@ import pytest
 
 from repro.perf.microbench import (
     MIGRATION_WINDOW_TUPLES,
+    OVERLOAD_SELECTION_QUERIES,
     SELECTION_QUERY_COUNTS,
     SHARDED_NODES,
     SHARDED_WORKERS,
@@ -34,6 +35,7 @@ from repro.perf.microbench import (
     time_generation_sic,
     time_migration,
     time_node_ticks,
+    time_overload_selection,
     time_reliability,
     time_result_accounting,
     time_runtime,
@@ -44,6 +46,10 @@ from repro.perf.microbench import (
 )
 
 SELECTION_SPEEDUP_FLOOR = 5.0
+# One steady-state round of permanent overload (12 skewed queries, half the
+# tuples kept): the piece-free cursor loop vs the reference, which builds a
+# batch piece per water-filling step (observed ~6x).
+OVERLOAD_SELECTION_SPEEDUP_FLOOR = 5.0
 ESTIMATOR_SPEEDUP_FLOOR = 10.0
 # Columnar pipeline floors (observed: generation ~9x, window ~11x, end-to-end
 # ~1.8x on the recording machine — see BENCH_shedding.json).  The end-to-end
@@ -65,6 +71,12 @@ END_TO_END_V2_SPEEDUP_FLOOR = 1.3
 # The 1.5x floor is the PR's acceptance criterion; both sides are best-of-3
 # because the margin over the floor is the thinnest of the suite.
 FUSED_END_TO_END_SPEEDUP_FLOOR = 1.5
+# The three 10% ceilings below share one macro scenario (50 aggregate
+# queries at overload factor 2).  The piece-free shedder took its wall time
+# from ~610 to ~340 ms, so a fixed cost or a scheduler hiccup of 20 ms now
+# reads 6% instead of 3% (the reliable channel's measured ~20 ms went from
+# 3-5% to 5-7%): each side is best-of-3 to keep the same ceilings meaningful.
+MACRO_GATE_REPEATS = 3
 # The discrete-event runtime must stay within 10% of the lockstep loop end
 # to end (ISSUE 3 acceptance criterion; observed ~5-7% on the recording
 # machine — see the `runtime` section of BENCH_shedding.json).
@@ -140,6 +152,32 @@ class TestSelectionBenchmarks:
         fast = best_of(3, time_selection, num_queries=100)
         reference = time_selection(num_queries=100, use_reference=True)
         assert reference / fast >= 2.0
+
+    def test_overload_selection_keeps_one_entry_per_batch(self, benchmark):
+        # Deterministic, so never skipped: the piece-free loop emits at most
+        # one kept entry per input batch, where the reference emits one per
+        # water-filling step.
+        _, kept_entries = benchmark.pedantic(
+            time_overload_selection, rounds=1, iterations=1
+        )
+        _, reference_entries = time_overload_selection(use_reference=True)
+        benchmark.extra_info["kept_entries"] = kept_entries
+        benchmark.extra_info["reference_kept_entries"] = reference_entries
+        assert 0 < kept_entries <= OVERLOAD_SELECTION_QUERIES
+        assert reference_entries > 10 * OVERLOAD_SELECTION_QUERIES
+
+    @skip_perf_asserts
+    def test_overload_selection_speedup_vs_reference(self):
+        fast = min(time_overload_selection()[0] for _ in range(5))
+        reference = min(
+            time_overload_selection(use_reference=True)[0] for _ in range(3)
+        )
+        speedup = reference / fast
+        assert speedup >= OVERLOAD_SELECTION_SPEEDUP_FLOOR, (
+            f"overloaded BALANCE-SIC round regressed: only {speedup:.1f}x over "
+            f"the reference (floor {OVERLOAD_SELECTION_SPEEDUP_FLOOR}x); "
+            f"fast={fast * 1e3:.2f} ms reference={reference * 1e3:.2f} ms"
+        )
 
 
 class TestEstimatorBenchmarks:
@@ -373,8 +411,8 @@ class TestRuntimeBenchmarks:
 
     @skip_perf_asserts
     def test_event_runtime_overhead_within_budget(self):
-        event = best_of(2, time_runtime)
-        lockstep = best_of(2, time_runtime, use_lockstep=True)
+        event = best_of(MACRO_GATE_REPEATS, time_runtime)
+        lockstep = best_of(MACRO_GATE_REPEATS, time_runtime, use_lockstep=True)
         overhead = event / lockstep - 1.0
         assert overhead <= RUNTIME_OVERHEAD_CEILING, (
             f"event runtime overhead {overhead * 100:.1f}% exceeds the "
@@ -407,8 +445,8 @@ class TestReliabilityBenchmarks:
 
     @skip_perf_asserts
     def test_reliability_overhead_within_budget(self):
-        off = best_of(2, time_reliability, reliable=False)
-        on = best_of(2, time_reliability, reliable=True)
+        off = best_of(MACRO_GATE_REPEATS, time_reliability, reliable=False)
+        on = best_of(MACRO_GATE_REPEATS, time_reliability, reliable=True)
         overhead = on / off - 1.0
         assert overhead <= RELIABILITY_OVERHEAD_CEILING, (
             f"reliable delivery overhead {overhead * 100:.1f}% exceeds the "
@@ -446,8 +484,8 @@ class TestResultAccountingBenchmarks:
 
     @skip_perf_asserts
     def test_result_accounting_overhead_within_budget(self):
-        off = best_of(2, time_result_accounting, accounting=False)
-        on = best_of(2, time_result_accounting, accounting=True)
+        off = best_of(MACRO_GATE_REPEATS, time_result_accounting, accounting=False)
+        on = best_of(MACRO_GATE_REPEATS, time_result_accounting, accounting=True)
         overhead = on / off - 1.0
         assert overhead <= RESULT_ACCOUNTING_OVERHEAD_CEILING, (
             f"exactly-once accounting overhead {overhead * 100:.1f}% exceeds "

@@ -28,15 +28,27 @@ queries' working SIC values — one over queries with pending batches (for
 ``q'``) and one over all queries (for ``q''``) — so a selection round costs
 O((B + I) log Q) instead of the O(I × Q) linear rescans of the straightforward
 implementation (kept in :mod:`repro.core._reference` as the equivalence oracle
-and perf baseline).  Pending lists are stored back-to-front so the per-query
-cursor advances with O(1) ``pop()``s, and batch splits go through
-:meth:`repro.core.tuples.Batch.split`, which derives the split SIC values from
-a shared cumulative-SIC prefix array instead of re-summing tuples.
+and perf baseline).
 
-The heap path replays the exact same RNG call sequence (tie-break ``choice``
-over the tied queries in buffer order, per-query ``shuffle`` for the RANDOM
-strategy) and the exact same floating-point arithmetic as the reference, so
-seeded runs produce identical :class:`ShedDecision`s.
+The loop is *piece-free*: accepting tuples from a query's top pending batch
+only advances an integer cursor over that batch and reads the accepted SIC
+off the batch's cumulative-SIC prefix array
+(:meth:`repro.core.tuples.Batch.sic_prefix`).  Batches are materialised once,
+when the round is decided: a batch the cursor ran through is kept as the
+object it is, an untouched one is shed as it is, and a partially accepted one
+is split exactly once (:meth:`repro.core.tuples.Batch.split`) into a kept
+head and a shed tail.  A round therefore emits at most one kept entry per
+input batch, and everything downstream of the shedder — delivery, window
+insert, the node-local SIC tracker — runs per batch, not per water-filling
+step.
+
+The loop replays the exact same RNG call sequence (tie-break ``choice`` over
+the tied queries in buffer order, per-query ``shuffle`` for the RANDOM
+strategy) and the exact same floating-point arithmetic on the working SIC
+values as the reference, so seeded runs keep the same tuples: per query the
+kept tuples are the same contiguous prefixes, and ``iterations``, the tuple
+counts and ``projected_sic`` are identical.  Only the granularity differs —
+the reference emits one batch piece per step.
 """
 
 from __future__ import annotations
@@ -104,8 +116,10 @@ class ShedDecision:
     """Outcome of one shedding round.
 
     Attributes:
-        kept: batches selected for processing, in selection order.
-        shed: batches to discard.
+        kept: batches selected for processing: input batches or their
+            heads, at most one per input batch, in the order the selection
+            first accepted tuples from them.
+        shed: batches to discard: input batches or their tails.
         kept_tuples: total number of tuples kept.
         shed_tuples: total number of tuples shed.
         iterations: number of iterations of the selection loop.
@@ -149,24 +163,97 @@ def keep_all_decision(
     return decision
 
 
-@dataclass
 class _QueryState:
     """Per-query working state during one selection round.
 
     ``pending`` is stored back-to-front (the next batch to consider is
-    ``pending[-1]``) so consuming the head is an O(1) ``pop()``.  ``order`` is
-    the query's insertion position, used to reproduce the buffer-order
-    tie-breaking of the reference implementation; ``version`` invalidates
-    stale heap entries after ``working_sic`` changes.
+    ``pending[-1]``) so consuming the head is an O(1) ``pop()``.  The
+    water-filling loop never materialises the tuples it accepts from that
+    top batch; it advances a cursor instead: ``taken`` tuples of it are
+    already accepted, ``rest_len`` / ``rest_sic`` describe the unaccepted
+    remainder, and ``prefix`` is the batch's cumulative-SIC array (read on
+    the first partial accept; ``prefix[i]`` is the SIC of its first ``i``
+    tuples).  ``kept_slot`` is where the partially accepted top batch sits
+    in the decision's kept list.  ``order`` is the query's insertion
+    position, used to reproduce the buffer-order tie-breaking of the
+    reference implementation; ``version`` invalidates stale heap entries
+    after ``working_sic`` changes.
     """
 
-    query_id: str
-    working_sic: float
-    pending: List[Batch]
-    pending_sic: float = 0.0
-    pending_tuples: int = 0
-    order: int = 0
-    version: int = 0
+    __slots__ = (
+        "query_id",
+        "working_sic",
+        "pending",
+        "pending_sic",
+        "order",
+        "version",
+        "taken",
+        "rest_len",
+        "rest_sic",
+        "prefix",
+        "kept_slot",
+    )
+
+    def __init__(
+        self,
+        query_id: str,
+        working_sic: float,
+        pending: List[Batch],
+        pending_sic: float = 0.0,
+        order: int = 0,
+    ) -> None:
+        self.query_id = query_id
+        self.working_sic = working_sic
+        self.pending = pending
+        self.pending_sic = pending_sic
+        self.order = order
+        self.version = 0
+        self.kept_slot = -1
+        self.open_top()
+
+    def open_top(self) -> None:
+        """Point the cursor at the start of the (new) top pending batch."""
+        self.taken = 0
+        self.prefix = None
+        if self.pending:
+            top = self.pending[-1]
+            self.rest_len = len(top)
+            self.rest_sic = top.sic
+        else:
+            self.rest_len = 0
+            self.rest_sic = 0.0
+
+    def read_prefix(self) -> List[float]:
+        """Cumulative SIC over the top batch's tuples, as a plain list.
+
+        A list of Python floats indexes several times faster than NumPy
+        scalars and holds the same doubles, so the loop's arithmetic is
+        unchanged.
+        """
+        top = self.pending[-1]
+        prefix, start = top.checked_sic_prefix()
+        view = prefix[start:start + len(top) + 1]
+        if not isinstance(view, list):
+            view = view.tolist()
+        self.prefix = view
+        return view
+
+    def shed_pending(self, kept: List[Batch], shed: List[Batch]) -> int:
+        """Move everything still pending to ``shed``, in buffer order.
+
+        This is where a partially accepted top batch is finally split: its
+        accepted head replaces the batch in ``kept``, its tail is shed.
+        Returns the number of tuples shed.
+        """
+        pending = self.pending
+        if self.taken:
+            head, tail = pending[-1].split(self.taken)
+            kept[self.kept_slot] = head
+            pending[-1] = tail
+        pending.reverse()
+        shed.extend(pending)
+        self.pending = []
+        return _total_tuples(pending)
 
 
 # Heap entries are ``(working_sic, order, version, state)``; ``order`` is
@@ -206,7 +293,9 @@ class BalanceSicPolicy:
                 omitted.
 
         Returns:
-            A :class:`ShedDecision` with the kept and shed batches.
+            A :class:`ShedDecision`.  Every input batch ends up whole in
+            ``kept`` or ``shed``, or split once into a kept head and a shed
+            tail.
         """
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
@@ -231,6 +320,11 @@ class BalanceSicPolicy:
         eps = self.config.epsilon
         allow_split = self.config.allow_batch_splitting
         remaining = capacity
+        kept = decision.kept
+        shed = decision.shed
+        kept_tuples = 0
+        shed_tuples = 0
+        iterations = 0
 
         pending_heap: List[_HeapEntry] = []
         target_heap: List[_HeapEntry] = []
@@ -248,70 +342,102 @@ class BalanceSicPolicy:
         parked: List[_HeapEntry] = []
         last_ref: Optional[float] = None
 
+        # The loop below runs once per water-filling step (thousands of times
+        # per round under permanent overload), so the two heap queries are
+        # written out in place instead of being method calls.
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         while remaining > 0:
-            q_prime = self._pop_min_pending(pending_heap)
-            if q_prime is None:
+            # q': the minimum-SIC query that still has pending batches.
+            while pending_heap:
+                entry = pending_heap[0]
+                q_prime = entry[3]
+                if entry[2] == q_prime.version and q_prime.pending:
+                    break
+                heappop(pending_heap)
+            else:
                 break
-            decision.iterations += 1
+            heappop(pending_heap)
+            working = entry[0]
+            if pending_heap and pending_heap[0][0] <= working + eps:
+                q_prime = self._break_tie(entry, pending_heap)
+                working = q_prime.working_sic
+            iterations += 1
 
-            ref = q_prime.working_sic
-            if last_ref is not None and ref < last_ref and parked:
-                for entry in parked:
-                    heapq.heappush(target_heap, entry)
+            if last_ref is not None and working < last_ref and parked:
+                for parked_entry in parked:
+                    heappush(target_heap, parked_entry)
                 parked.clear()
-            last_ref = ref
-            target = self._peek_target(target_heap, parked, ref)
+            last_ref = working
+            # q'': the next-lowest SIC value strictly above q' (beyond
+            # epsilon).  Entries at or below q' can never become targets
+            # again (the reference never decreases by more than epsilon
+            # between iterations, because ties span at most epsilon), so they
+            # are popped for good; entries within ``(q', q' + epsilon]`` are
+            # parked and restored above if the reference ever dips.
+            threshold = working + eps
+            target: Optional[float] = None
+            while target_heap:
+                lowest = target_heap[0]
+                if lowest[2] != lowest[3].version:
+                    heappop(target_heap)
+                elif lowest[0] > threshold:
+                    target = lowest[0]
+                    break
+                else:
+                    heappop(target_heap)
+                    if lowest[0] > working:
+                        parked.append(lowest)
 
             pending = q_prime.pending
             accepted_any = False
             while pending and remaining > 0:
-                working = q_prime.working_sic
                 if target is not None and working >= target - eps:
                     break
-                batch = pending[-1]
                 # Take only as many tuples as needed to reach the target
-                # (line 15-16 of Algorithm 1): if accepting the whole batch
-                # would overshoot q'', split it at the required tuple count.
-                if (
-                    target is not None
-                    and allow_split
-                    and len(batch) > 1
-                    and batch.sic > 0
-                ):
-                    deficit = target - working
-                    per_tuple = batch.sic / len(batch)
-                    needed = (
-                        int(-(-deficit // per_tuple))
-                        if per_tuple > 0
-                        else len(batch)
-                    )
-                    if 0 < needed < len(batch):
-                        head, tail = batch.split(needed)
-                        pending[-1] = tail
-                        pending.append(head)
-                        batch = head
-                size = len(batch)
-                if size <= remaining:
-                    pending.pop()
-                    decision.kept.append(batch)
-                    decision.kept_tuples += size
-                    remaining -= size
-                    q_prime.working_sic += batch.sic
-                    q_prime.pending_tuples -= size
-                    accepted_any = True
-                elif allow_split and remaining > 0:
-                    kept_part, rest = batch.split(remaining)
-                    pending[-1] = rest
-                    decision.kept.append(kept_part)
-                    decision.kept_tuples += len(kept_part)
-                    q_prime.working_sic += kept_part.sic
-                    q_prime.pending_tuples -= len(kept_part)
-                    remaining = 0
-                    accepted_any = True
+                # (line 15-16 of Algorithm 1): if accepting the rest of the
+                # top batch would overshoot q'', stop at the required count.
+                rest_len = size = q_prime.rest_len
+                if target is not None and allow_split and size > 1:
+                    rest_sic = q_prime.rest_sic
+                    if rest_sic > 0:
+                        per_tuple = rest_sic / size
+                        needed = (
+                            int(-(-(target - working) // per_tuple))
+                            if per_tuple > 0
+                            else size
+                        )
+                        if 0 < needed < size:
+                            size = needed
+                if size > remaining:
+                    if not allow_split:
+                        remaining = 0
+                        break
+                    size = remaining
+                if size == rest_len:
+                    # The rest of the top batch is accepted whole.
+                    working += q_prime.rest_sic
+                    batch = pending.pop()
+                    if not q_prime.taken:
+                        kept.append(batch)
+                    q_prime.open_top()
                 else:
-                    remaining = 0
-                    break
-                if target is None and accepted_any:
+                    # Advance the cursor; the batch is split once, at the end.
+                    taken = q_prime.taken
+                    prefix = q_prime.prefix
+                    if prefix is None:
+                        prefix = q_prime.read_prefix()
+                        q_prime.kept_slot = len(kept)
+                        kept.append(pending[-1])
+                    cut = taken + size
+                    working += prefix[cut] - prefix[taken]
+                    q_prime.rest_sic = prefix[-1] - prefix[cut]
+                    q_prime.rest_len = rest_len - size
+                    q_prime.taken = cut
+                kept_tuples += size
+                remaining -= size
+                accepted_any = True
+                if target is None:
                     # All queries tied: accept a single batch then re-evaluate,
                     # matching iteration 5 of the paper's Figure 3 example.
                     break
@@ -320,31 +446,22 @@ class BalanceSicPolicy:
                 # The minimum-SIC query could not accept anything (e.g. its
                 # next batch does not fit and splitting is disabled); drop its
                 # pending tuples into the shed set to guarantee progress.
-                pending.reverse()
-                decision.shed.extend(pending)
-                decision.shed_tuples += q_prime.pending_tuples
-                q_prime.pending = []
-                q_prime.pending_tuples = 0
+                shed_tuples += q_prime.shed_pending(kept, shed)
             else:
+                q_prime.working_sic = working
                 q_prime.version += 1
-                entry = (
-                    q_prime.working_sic,
-                    q_prime.order,
-                    q_prime.version,
-                    q_prime,
-                )
-                heapq.heappush(target_heap, entry)
-                if q_prime.pending:
-                    heapq.heappush(pending_heap, entry)
+                entry = (working, q_prime.order, q_prime.version, q_prime)
+                heappush(target_heap, entry)
+                if pending:
+                    heappush(pending_heap, entry)
 
-        # Whatever was not selected is shed (Algorithm 1, line 7).  Batches
-        # split along the way leave their unkept remainder in the pending
-        # lists, so the pending lists are exactly the shed set.
+        # Whatever was not selected is shed (Algorithm 1, line 7).
         for state in states.values():
             if state.pending:
-                state.pending.reverse()
-                decision.shed.extend(state.pending)
-                decision.shed_tuples += state.pending_tuples
+                shed_tuples += state.shed_pending(kept, shed)
+        decision.kept_tuples = kept_tuples
+        decision.shed_tuples = shed_tuples
+        decision.iterations = iterations
         decision.projected_sic = {
             s.query_id: s.working_sic for s in states.values()
         }
@@ -366,10 +483,8 @@ class BalanceSicPolicy:
         for query_id, pending in per_query.items():
             self._order_pending(pending)
             pending_sic = 0.0
-            pending_tuples = 0
             for b in pending:
                 pending_sic += b.sic
-                pending_tuples += len(b)
             reported = float(reported_sic.get(query_id, 0.0))
             if use_projection:
                 working = max(0.0, reported - pending_sic)
@@ -381,7 +496,6 @@ class BalanceSicPolicy:
                 working_sic=working,
                 pending=pending,
                 pending_sic=pending_sic,
-                pending_tuples=pending_tuples,
                 order=order,
             )
             order += 1
@@ -407,69 +521,31 @@ class BalanceSicPolicy:
         else:
             self.rng.shuffle(pending)
 
-    def _pop_min_pending(
-        self, pending_heap: List[_HeapEntry]
-    ) -> Optional[_QueryState]:
-        """Pop the minimum-SIC query with pending batches (``q'``).
+    def _break_tie(
+        self, first: _HeapEntry, pending_heap: List[_HeapEntry]
+    ) -> _QueryState:
+        """Pick ``q'`` among the queries tied with the popped minimum.
 
         Queries whose working SIC is within epsilon of the minimum are tied;
         the winner is drawn with the same ``rng.choice`` over the tied queries
         in buffer order as the reference implementation, and the losers are
         pushed back.
         """
-        eps = self.config.epsilon
+        limit = first[0] + self.config.epsilon
+        tied: List[_HeapEntry] = [first]
         while pending_heap:
             sic, _order, version, state = pending_heap[0]
             if version != state.version or not state.pending:
                 heapq.heappop(pending_heap)
-                continue
-            break
-        if not pending_heap:
-            return None
-        minimum = pending_heap[0][0]
-        tied: List[_HeapEntry] = [heapq.heappop(pending_heap)]
-        while pending_heap:
-            sic, _order, version, state = pending_heap[0]
-            if version != state.version or not state.pending:
-                heapq.heappop(pending_heap)
-                continue
-            if sic <= minimum + eps:
+            elif sic <= limit:
                 tied.append(heapq.heappop(pending_heap))
             else:
                 break
         if len(tied) == 1:
-            return tied[0][3]
+            return first[3]
         tied.sort(key=lambda e: e[1])
         chosen = self.rng.choice(tied)
         for entry in tied:
             if entry is not chosen:
                 heapq.heappush(pending_heap, entry)
         return chosen[3]
-
-    def _peek_target(
-        self,
-        target_heap: List[_HeapEntry],
-        parked: List[_HeapEntry],
-        reference: float,
-    ) -> Optional[float]:
-        """The next-lowest SIC value strictly above ``reference`` (``q''``).
-
-        Entries at or below the reference can never become targets again
-        (the reference never decreases by more than epsilon between
-        iterations, because ties span at most epsilon), so they are popped
-        for good; entries within ``(reference, reference + epsilon]`` are
-        parked and restored by the caller if the reference ever dips.
-        """
-        eps = self.config.epsilon
-        threshold = reference + eps
-        while target_heap:
-            sic, _order, version, state = target_heap[0]
-            if version != state.version:
-                heapq.heappop(target_heap)
-                continue
-            if sic > threshold:
-                return sic
-            entry = heapq.heappop(target_heap)
-            if sic > reference:
-                parked.append(entry)
-        return None

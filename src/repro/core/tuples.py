@@ -9,7 +9,9 @@ creation timestamp (§6, "SIC maintenance").
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -29,9 +31,10 @@ __all__ = [
 ]
 
 
-# Below this length the ufunc dispatch overhead exceeds builtin sum() over
+# Below this length the ufunc dispatch overhead exceeds a C-level fold over
 # ``tolist()`` — both give bit-identical results, so the cut-over is a pure
-# perf knob (split-fragmented shedding batches are often a handful of rows).
+# perf knob (window panes and small queries' batches are often a few dozen
+# rows).
 # Canonical home of the sequential-sum primitive (re-exported by
 # repro.core.columns, which imports this module).
 SMALL_COLUMN = 64
@@ -43,10 +46,11 @@ def seq_sum(column, initial: float = 0.0) -> float:
     Bit-equal to ``total = initial; for v in column: total += v`` — on array
     columns the fold is ``np.add.accumulate``'s last element (accumulation is
     strictly left to right), *never* ``np.sum`` (pairwise summation rounds
-    differently); short arrays and plain lists fold through the builtin
-    ``sum(column, initial)``, which performs the identical additions at C
-    speed.  This is the one reduction primitive every columnar kernel must
-    use so numpy-, list- and tuple-backed runs stay result-identical.
+    differently); short arrays and plain lists fold through
+    ``reduce(operator.add, ...)``, *never* the builtin ``sum`` (CPython 3.12
+    and later compensate float sums, which rounds differently again).  This
+    is the one reduction primitive every columnar kernel must use so numpy-,
+    list- and tuple-backed runs stay result-identical on every interpreter.
     """
     if np is not None and isinstance(column, np.ndarray):
         n = len(column)
@@ -62,7 +66,7 @@ def seq_sum(column, initial: float = 0.0) -> float:
                 )[-1]
             )
         column = column.tolist()
-    return float(sum(column, initial))
+    return float(functools.reduce(operator.add, column, initial))
 
 _batch_ids = itertools.count()
 
@@ -387,6 +391,25 @@ class Batch:
             self._prefix_start = 0
         return self._sic_prefix
 
+    def checked_sic_prefix(self) -> "PyTuple[List[float], int]":
+        """``(prefix, start)``: the cumulative-SIC array and this batch's
+        offset into it, guarded against a stale shared array.
+
+        Tuple ``i`` of this batch contributes ``prefix[start + i + 1] -
+        prefix[start + i]``.  If the shared array no longer matches this
+        batch's header — a sibling's tuples were mutated and refreshed
+        through another batch — the batch rebuilds its own prefix from its
+        own tuples first.
+        """
+        prefix = self.sic_prefix()
+        start = self._prefix_start
+        if prefix[start + len(self)] - prefix[start] != self.header.sic:
+            self._sic_prefix = None
+            self._prefix_start = 0
+            prefix = self.sic_prefix()
+            start = 0
+        return prefix, start
+
     def split(self, keep_tuples: int) -> "PyTuple[Batch, Batch]":
         """Split into a head of ``keep_tuples`` tuples and the remaining tail.
 
@@ -402,16 +425,7 @@ class Batch:
             raise ValueError(
                 f"keep_tuples must be in (0, {n}), got {keep_tuples}"
             )
-        prefix = self.sic_prefix()
-        start = self._prefix_start
-        if prefix[start + n] - prefix[start] != self.header.sic:
-            # The shared prefix array no longer matches this batch's header —
-            # a sibling's tuples were mutated and refreshed through another
-            # batch.  Rebuild our own prefix from our own tuples.
-            self._sic_prefix = None
-            self._prefix_start = 0
-            prefix = self.sic_prefix()
-            start = 0
+        prefix, start = self.checked_sic_prefix()
         cut = start + keep_tuples
         # float() keeps headers Python scalars even off an ndarray prefix.
         head_sic = float(prefix[cut] - prefix[start])

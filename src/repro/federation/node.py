@@ -24,7 +24,7 @@ the optional ``shedding_interval`` attribute (heterogeneous per-node rounds).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple as PyTuple
+from typing import Callable, Dict, List, Optional, Tuple as PyTuple
 
 from ..core.cost_model import CostModel, CostModelConfig
 from ..core.shedding import Shedder
@@ -164,6 +164,9 @@ class FspsNode:
         # fragment id; built lazily and invalidated when hosting changes, so
         # routing never rebuilds a candidate list per batch.
         self._query_fragment_cache: Dict[str, Optional[QueryFragment]] = {}
+        # Sorted ids of the hosted queries, read every round by the SIC view;
+        # built lazily and invalidated together with the cache above.
+        self._hosted_queries: Optional[List[str]] = None
         # Bounded-ingress backpressure state (inactive when the cap is None).
         self.max_ingress_tuples = max_ingress_tuples
         if max_ingress_tuples is not None:
@@ -189,7 +192,7 @@ class FspsNode:
                 f"fragment {fragment.fragment_id} already hosted on {self.node_id}"
             )
         self.fragments[fragment.fragment_id] = fragment
-        self._query_fragment_cache.clear()
+        self._hosting_changed()
         self._local_trackers.setdefault(
             fragment.query_id, ResultSicTracker(fragment.query_id, self.stw_config)
         )
@@ -208,16 +211,24 @@ class FspsNode:
             raise ValueError(
                 f"fragment {fragment_id!r} is not hosted on {self.node_id}"
             ) from None
-        self._query_fragment_cache.clear()
+        self._hosting_changed()
         query_id = fragment.query_id
         if not any(f.query_id == query_id for f in self.fragments.values()):
             self._local_trackers.pop(query_id, None)
             self._reported_sic.pop(query_id, None)
         return fragment
 
+    def _hosting_changed(self) -> None:
+        self._query_fragment_cache.clear()
+        self._hosted_queries = None
+
     def hosted_queries(self) -> List[str]:
         """Identifiers of queries with at least one fragment on this node."""
-        return sorted({f.query_id for f in self.fragments.values()})
+        if self._hosted_queries is None:
+            self._hosted_queries = sorted(
+                {f.query_id for f in self.fragments.values()}
+            )
+        return list(self._hosted_queries)
 
     # ------------------------------------------------------ checkpoint/restore
     def _buffered_for(self, fragment: QueryFragment) -> List[Batch]:
@@ -424,7 +435,7 @@ class FspsNode:
 
     # --------------------------------------------------------------- main loop
     def on_shed_round(
-        self, now: float, timer: Optional[callable] = None
+        self, now: float, timer: Optional[Callable[[], float]] = None
     ) -> NodeTickResult:
         """Run one shedding round: detect overload, shed, process.
 

@@ -24,7 +24,7 @@ from ..core._reference import (
     ReferenceSourceRateEstimator,
 )
 from ..core.balance_sic import BalanceSicPolicy
-from ..core.columns import use_backend
+from ..core.columns import ColumnBlock, use_backend
 from ..core.shedding import BalanceSicShedder
 from ..core.sic import SicAssigner, SourceRateEstimator
 from ..core.tuples import Batch, Tuple
@@ -34,6 +34,8 @@ from .stopwatch import PerfRegistry, Stopwatch
 __all__ = [
     "build_selection_workload",
     "time_selection",
+    "build_overload_selection_workload",
+    "time_overload_selection",
     "time_estimator_ingest",
     "time_node_ticks",
     "time_generation_sic",
@@ -54,6 +56,13 @@ __all__ = [
 ]
 
 SELECTION_QUERY_COUNTS = (10, 100, 1000)
+# Overloaded-selection kernel: one shedding round of the benchmark of record's
+# `overload` workload — 12 queries with skewed source rates, one columnar
+# batch per query holding a 250 ms interval's tuples, half of them kept.
+OVERLOAD_SELECTION_RATES = (500.0, 1000.0, 2000.0, 4500.0)
+OVERLOAD_SELECTION_QUERIES = 12
+OVERLOAD_SELECTION_INTERVAL = 0.25
+OVERLOAD_SELECTION_STW = 10.0
 ESTIMATOR_ARRIVALS = 100_000
 ESTIMATOR_CHUNK = 200  # 800 tuples/s observed every 0.25 s interval (fig12)
 
@@ -126,6 +135,58 @@ def time_selection(
         name = "selection.reference" if use_reference else "selection.fast"
         registry.record(f"{name}.q{num_queries}", sw.elapsed_seconds)
     return sw.elapsed_seconds
+
+
+def build_overload_selection_workload(
+    seed: int = 0,
+) -> PyTuple[List[Batch], Dict[str, float], int]:
+    """One steady-state round of permanent overload: batches, SIC, capacity.
+
+    Every query reports nearly the same result SIC (what BALANCE-SIC
+    converges to) and a tuple's SIC is ``1 / (rate × STW)``, so the
+    water-filling advances a few tuples at a time through every batch — the
+    regime in which the selection's output granularity matters.
+    """
+    rng = random.Random(seed)
+    batches: List[Batch] = []
+    reported: Dict[str, float] = {}
+    for q in range(OVERLOAD_SELECTION_QUERIES):
+        query_id = f"q{q:02d}"
+        rate = OVERLOAD_SELECTION_RATES[q % len(OVERLOAD_SELECTION_RATES)]
+        count = int(rate * OVERLOAD_SELECTION_INTERVAL)
+        reported[query_id] = 0.5 + rng.uniform(-0.005, 0.005)
+        block = ColumnBlock(
+            [i / rate for i in range(count)],
+            [1.0 / (rate * OVERLOAD_SELECTION_STW)] * count,
+            {"v": [rng.random() for _ in range(count)]},
+            source_id=f"s{q:02d}",
+        )
+        batches.append(Batch.from_block(query_id, block))
+    capacity = sum(len(b) for b in batches) // 2
+    return batches, reported, capacity
+
+
+def time_overload_selection(
+    use_reference: bool = False,
+    seed: int = 0,
+    registry: Optional[PerfRegistry] = None,
+) -> PyTuple[float, int]:
+    """``(seconds, kept entries)`` for one overloaded selection round.
+
+    The kept-entry count is the selection's output granularity: everything
+    downstream of the shedder (delivery, window insert, the node-local SIC
+    tracker) runs once per kept entry.
+    """
+    batches, reported, capacity = build_overload_selection_workload(seed)
+    cls = ReferenceBalanceSicPolicy if use_reference else BalanceSicPolicy
+    policy = cls(rng=random.Random(seed))
+    with Stopwatch() as sw:
+        decision = policy.select(batches, capacity, reported)
+    assert decision.kept_tuples == capacity
+    if registry is not None:
+        name = "reference" if use_reference else "fast"
+        registry.record(f"selection.overload.{name}", sw.elapsed_seconds)
+    return sw.elapsed_seconds, len(decision.kept)
 
 
 def time_estimator_ingest(
@@ -845,6 +906,26 @@ def run_microbench(
             )
             entry["speedup"] = entry["reference_ms"] / entry["fast_ms"]
         results["selection"][f"q{num_queries}"] = entry
+
+    # One steady-state round of permanent overload (a ~5 ms kernel): best-of-3
+    # on both sides.  ``kept_entries`` is the output granularity — at most
+    # one per input batch on the fast path, one per water-filling step on
+    # the reference.
+    fast_runs = [time_overload_selection(registry=registry) for _ in range(3)]
+    reference_runs = [
+        time_overload_selection(use_reference=True, registry=registry)
+        for _ in range(3)
+    ]
+    fast_ms = min(seconds for seconds, _ in fast_runs) * 1e3
+    reference_ms = min(seconds for seconds, _ in reference_runs) * 1e3
+    results["selection"]["overload"] = {
+        "input_batches": OVERLOAD_SELECTION_QUERIES,
+        "fast_ms": fast_ms,
+        "kept_entries": fast_runs[0][1],
+        "reference_ms": reference_ms,
+        "reference_kept_entries": reference_runs[0][1],
+        "speedup": reference_ms / fast_ms,
+    }
 
     # Sub-millisecond kernel: best-of-3 on *both* sides like the small
     # selection runs, so the recorded ratio is signal rather than scheduler

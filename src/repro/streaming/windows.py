@@ -608,9 +608,9 @@ class TimeWindow(WindowBuffer):
             if hi - lo > 32:
                 self._insert_block_array(block, timestamps, lo, hi)
                 return
-            # Short ranges (split-fragmented batches): the scalar run loop
-            # below beats the ufunc dispatch; np.float64 scalars go through
-            # the identical index arithmetic.
+            # Short ranges (low-rate queries, short kept heads): the scalar
+            # run loop below beats the ufunc dispatch; np.float64 scalars go
+            # through the identical index arithmetic.
             timestamps = timestamps[lo:hi].tolist()
             offset = lo
             lo, hi = 0, len(timestamps)

@@ -7,6 +7,7 @@ the sequential-sum determinism primitive, and checkpoint round-trips of
 array-backed window/estimator state.
 """
 
+import math
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.core.columns import (
     use_backend,
 )
 from repro.core.sic import SicAssigner, SourceRateEstimator
-from repro.core.tuples import Batch, Tuple
+from repro.core.tuples import SMALL_COLUMN, Batch, Tuple
 from repro.streaming.windows import ImmediateWindow, TimeWindow
 
 
@@ -71,6 +72,22 @@ class TestSequentialSum:
         for v in values:
             chained += v
         assert seq_sum(arr, initial=123.456) == chained
+
+    @pytest.mark.parametrize("repeats", [8, 200])
+    def test_seq_sum_is_a_naive_fold_not_a_compensated_sum(self, repeats):
+        # Compensated summation (the builtin sum() on CPython >= 3.12) keeps
+        # the 1.0s this column's naive left fold loses: 16.0 vs 1.0 at 8
+        # repeats.  seq_sum must be the naive fold on every interpreter,
+        # for lists, short arrays (<= SMALL_COLUMN) and long arrays alike.
+        values = [1e16, 1.0, -1e16, 1.0] * repeats
+        for initial in (0.0, 0.5):
+            total = initial
+            for v in values:
+                total += v
+            assert total != math.fsum(values) + initial
+            assert seq_sum(values, initial) == total
+            assert seq_sum(np.asarray(values), initial) == total
+        assert (len(values) <= SMALL_COLUMN) == (repeats == 8)
 
     def test_seq_sum_small_and_empty(self):
         assert seq_sum(np.asarray([])) == 0.0
@@ -327,6 +344,13 @@ class TestMaterializationCounter:
 
 class TestColumnAppender:
     """Grow-by-doubling pane buffers: element-identical to concat_ranges."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_backend(self):
+        # The appender only accepts array-backed blocks; pin the backend so
+        # the REPRO_COLUMNAR_BACKEND=list leg does not stop here.
+        with use_backend("numpy"):
+            yield
 
     def _ranges(self, specs):
         out = []

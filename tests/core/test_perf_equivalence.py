@@ -1,11 +1,18 @@
-"""The heap-based fast path must match the reference implementations exactly.
+"""The fast paths must match the reference implementations exactly.
 
 ``repro.core._reference`` preserves the seed's O(iterations × queries)
 BALANCE-SIC selection and the per-tuple-deque rate estimator.  These tests
 drive both implementations with identical inputs and seeds and require
-byte-identical outcomes — same kept/shed batch contents in the same order,
-same RNG consumption, same SIC estimates — which is what makes the fast path
-a pure performance change.
+identical outcomes, which is what makes the fast path a pure performance
+change.
+
+For selection the two differ in granularity only: the reference materialises
+one batch piece per water-filling step, the fast path emits each input batch
+whole or as one kept head plus one shed tail.  The comparison therefore
+coalesces per input batch and per query: same number of kept tuples from
+every input batch, same kept and shed tuple sequences per query, same
+iteration count, tuple totals and projected SIC, and the same RNG state
+after the call (same tie-break and shuffle draws).
 """
 
 import random
@@ -26,7 +33,10 @@ from repro.core.balance_sic import (
 from repro.core.tuples import Batch, Tuple
 
 
-def make_buffer(num_queries, batches_per_query, tuples_per_batch, seed):
+def make_buffer(
+    num_queries, batches_per_query, tuples_per_batch, seed, uneven=False
+):
+    """Random buffer; ``uneven`` varies the tuple SIC within each batch."""
     rng = random.Random(seed)
     batches, reported = [], {}
     for q in range(num_queries):
@@ -35,33 +45,66 @@ def make_buffer(num_queries, batches_per_query, tuples_per_batch, seed):
         for b in range(batches_per_query):
             sic = rng.uniform(1e-4, 1e-2)
             tuples = [
-                Tuple(timestamp=b + i * 1e-3, sic=sic, values={})
+                Tuple(
+                    timestamp=b + i * 1e-3,
+                    sic=sic * rng.uniform(0.5, 1.5) if uneven else sic,
+                    values={},
+                )
                 for i in range(tuples_per_batch)
             ]
             batches.append(Batch(query_id, tuples))
     return batches, reported
 
 
-def batch_signature(batch):
-    """Content identity of a batch: query, tuple payloads and header SIC."""
-    return (
-        batch.query_id,
-        batch.sic,
-        tuple((t.timestamp, t.sic) for t in batch.tuples),
-    )
+def kept_per_input_batch(batches, decision):
+    """Kept tuples of every input batch, by buffer position.
+
+    Split pieces of a tuple-backed batch share its ``Tuple`` objects, so a
+    piece's parent is the input batch that owns its tuples.
+    """
+    owner = {id(t): i for i, b in enumerate(batches) for t in b.tuples}
+    counts = [0] * len(batches)
+    for piece in decision.kept:
+        for t in piece.tuples:
+            counts[owner[id(t)]] += 1
+    return counts
 
 
-def assert_decisions_identical(fast, reference):
+def content_per_query(pieces):
+    """``{query: [(timestamp, sic), ...]}`` concatenated in list order."""
+    content = {}
+    for piece in pieces:
+        content.setdefault(piece.query_id, []).extend(
+            (t.timestamp, t.sic) for t in piece.tuples
+        )
+    return content
+
+
+def assert_selection_identical(build, capacity, config=None, rng_seed=0):
+    """Run both policies on equal buffers and compare the decisions.
+
+    ``build`` returns a fresh ``(batches, reported_sic)`` pair per call.
+    """
+    batches, reported = build()
+    policy = BalanceSicPolicy(config, rng=random.Random(rng_seed))
+    fast = policy.select(batches, capacity, reported)
+    ref_batches, ref_reported = build()
+    ref_policy = ReferenceBalanceSicPolicy(config, rng=random.Random(rng_seed))
+    reference = ref_policy.select(ref_batches, capacity, ref_reported)
+
     assert fast.kept_tuples == reference.kept_tuples
     assert fast.shed_tuples == reference.shed_tuples
     assert fast.iterations == reference.iterations
-    assert [batch_signature(b) for b in fast.kept] == [
-        batch_signature(b) for b in reference.kept
-    ]
-    assert [batch_signature(b) for b in fast.shed] == [
-        batch_signature(b) for b in reference.shed
-    ]
     assert fast.projected_sic == reference.projected_sic
+    assert policy.rng.getstate() == ref_policy.rng.getstate()
+    assert kept_per_input_batch(batches, fast) == kept_per_input_batch(
+        ref_batches, reference
+    )
+    assert content_per_query(fast.kept) == content_per_query(reference.kept)
+    assert content_per_query(fast.shed) == content_per_query(reference.shed)
+    # The fast path's own granularity: never more entries than input batches.
+    assert len(fast.kept) <= len(batches)
+    assert len(fast.shed) <= len(batches)
 
 
 class TestSelectionEquivalence:
@@ -76,33 +119,35 @@ class TestSelectionEquivalence:
             use_projection=use_projection,
         )
         for seed in range(3):
-            batches, reported = make_buffer(7, 3, 6, seed)
-            total = sum(len(b) for b in batches)
-            capacity = int(total * capacity_fraction)
-            fast = BalanceSicPolicy(config, rng=random.Random(99)).select(
-                batches, capacity, reported
+            total = 7 * 3 * 6
+            assert_selection_identical(
+                lambda: make_buffer(7, 3, 6, seed),
+                int(total * capacity_fraction),
+                config,
+                rng_seed=99,
             )
-            ref_batches, ref_reported = make_buffer(7, 3, 6, seed)
-            reference = ReferenceBalanceSicPolicy(
-                config, rng=random.Random(99)
-            ).select(ref_batches, capacity, ref_reported)
-            assert_decisions_identical(fast, reference)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_uneven_tuple_sic_within_batches(self, seed):
+        # Cursor advances read prefix differences that are no longer a
+        # multiple of one per-tuple value.
+        assert_selection_identical(
+            lambda: make_buffer(6, 3, 40, seed, uneven=True), 300, rng_seed=seed
+        )
 
     def test_queries_without_buffered_batches(self):
-        batches, _ = make_buffer(3, 2, 5, seed=1)
         reported = {"q0": 0.1, "q1": 0.5, "q2": 0.9, "ghost1": 0.05, "ghost2": 0.3}
-        fast = BalanceSicPolicy(rng=random.Random(5)).select(batches, 12, reported)
-        ref_batches, _ = make_buffer(3, 2, 5, seed=1)
-        reference = ReferenceBalanceSicPolicy(rng=random.Random(5)).select(
-            ref_batches, 12, dict(reported)
+        assert_selection_identical(
+            lambda: (make_buffer(3, 2, 5, seed=1)[0], dict(reported)),
+            12,
+            rng_seed=5,
         )
-        assert_decisions_identical(fast, reference)
 
     def test_many_exact_ties_consume_identical_rng(self):
         # All queries report 0 and carry identical batches: every iteration is
         # a maximal tie, exercising the rng.choice replay in the heap path.
         def build():
-            return [
+            batches = [
                 Batch(
                     f"q{q}",
                     [Tuple(timestamp=float(b), sic=0.01, values={}) for _ in range(4)],
@@ -110,12 +155,9 @@ class TestSelectionEquivalence:
                 for q in range(12)
                 for b in range(3)
             ]
+            return batches, {}
 
-        fast = BalanceSicPolicy(rng=random.Random(11)).select(build(), 37, {})
-        reference = ReferenceBalanceSicPolicy(rng=random.Random(11)).select(
-            build(), 37, {}
-        )
-        assert_decisions_identical(fast, reference)
+        assert_selection_identical(build, 37, rng_seed=11)
 
     @given(
         num_queries=st.integers(1, 8),
@@ -135,20 +177,14 @@ class TestSelectionEquivalence:
         seed,
         allow_splitting,
     ):
-        config = BalanceSicConfig(allow_batch_splitting=allow_splitting)
-        batches, reported = make_buffer(
-            num_queries, batches_per_query, tuples_per_batch, seed
+        assert_selection_identical(
+            lambda: make_buffer(
+                num_queries, batches_per_query, tuples_per_batch, seed
+            ),
+            capacity,
+            BalanceSicConfig(allow_batch_splitting=allow_splitting),
+            rng_seed=seed,
         )
-        fast = BalanceSicPolicy(config, rng=random.Random(seed)).select(
-            batches, capacity, reported
-        )
-        ref_batches, ref_reported = make_buffer(
-            num_queries, batches_per_query, tuples_per_batch, seed
-        )
-        reference = ReferenceBalanceSicPolicy(config, rng=random.Random(seed)).select(
-            ref_batches, capacity, ref_reported
-        )
-        assert_decisions_identical(fast, reference)
 
 
 class TestEstimatorEquivalence:
