@@ -122,6 +122,9 @@ def build_report(quick: bool = False) -> dict:
     speedups["columnar_v2_end_to_end"] = round(
         columnar_v2["end_to_end"]["speedup"], 2
     )
+    # One TOP-5 window, join -> top-k (row join / block-emitting join on the
+    # identical panes): watched by --compare like the other ratios.
+    speedups["join_topk"] = round(results["join_topk"]["speedup"], 2)
     # Fused fragment execution (staged v2 / fused on the identical numpy
     # paper-scale scenario): watched by --compare like the other ratios.
     speedups["fused_end_to_end"] = round(

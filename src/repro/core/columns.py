@@ -73,6 +73,7 @@ __all__ = [
     "seq_sum",
     "SMALL_COLUMN",
     "to_pylist",
+    "take_rows",
 ]
 
 BACKENDS = ("numpy", "list")
@@ -149,6 +150,13 @@ def to_pylist(column) -> List[Any]:
 
 
 _tolist = to_pylist
+
+
+def take_rows(column, rows):
+    """``column`` gathered at ``rows`` (an index array or list), in that order."""
+    if np is not None and isinstance(column, np.ndarray):
+        return column[rows]
+    return [column[i] for i in rows]
 
 
 def _float_column(column):
@@ -299,10 +307,8 @@ class ColumnBlock:
         return len(self._values)
 
     def sic_total(self) -> float:
-        """Summed SIC of the block (left-to-right, like ``sum`` over tuples)."""
-        if self.is_array_backed:
-            return seq_sum(self._sics)
-        return sum(self._sics)
+        """Summed SIC of the block (the sequential :func:`seq_sum` fold)."""
+        return seq_sum(self._sics)
 
     @classmethod
     def _unchecked(
@@ -351,6 +357,34 @@ class ColumnBlock:
             self._timestamps[start:stop],
             self._sics[start:stop],
             {f: col[start:stop] for f, col in self._values.items()},
+            self.source_id,
+        )
+
+    def stable_time_order(self):
+        """The stable permutation sorting the rows by timestamp, or ``None``
+        when they are already nondecreasing.
+
+        The same reordering a stable sort of the materialized tuples by
+        timestamp applies (``argsort(kind="stable")`` on array columns).
+        """
+        timestamps = self._timestamps
+        if np is not None and isinstance(timestamps, np.ndarray):
+            if bool(np.all(timestamps[1:] >= timestamps[:-1])):
+                return None
+            return np.argsort(timestamps, kind="stable")
+        if all(
+            timestamps[i] <= timestamps[i + 1]
+            for i in range(len(timestamps) - 1)
+        ):
+            return None
+        return sorted(range(len(timestamps)), key=timestamps.__getitem__)
+
+    def take(self, rows) -> "ColumnBlock":
+        """A new block holding this block's ``rows``, in that order."""
+        return ColumnBlock._unchecked(
+            take_rows(self._timestamps, rows),
+            take_rows(self._sics, rows),
+            {f: take_rows(col, rows) for f, col in self._values.items()},
             self.source_id,
         )
 

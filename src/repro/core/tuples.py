@@ -41,7 +41,8 @@ SMALL_COLUMN = 64
 
 
 def seq_sum(column, initial: float = 0.0) -> float:
-    """Sequential left-to-right sum of ``column`` starting from ``initial``.
+    """Sequential left-to-right sum of ``column`` (an array, a list or any
+    iterable of floats) starting from ``initial``.
 
     Bit-equal to ``total = initial; for v in column: total += v`` — on array
     columns the fold is ``np.add.accumulate``'s last element (accumulation is
@@ -186,7 +187,7 @@ class Batch:
         # ``split`` so repeated splitting never re-sums tuple SIC values.
         self._sic_prefix: Optional[List[float]] = None
         self._prefix_start: int = 0
-        sic = sum(t.sic for t in self._tuples)
+        sic = seq_sum(t.sic for t in self._tuples)
         if created_at is None:
             created_at = min((t.timestamp for t in self._tuples), default=0.0)
         self.header = BatchHeader(
@@ -343,7 +344,7 @@ class Batch:
                 self._block.sics[self._block_start:self._block_stop]
             )
         else:
-            self.header.sic = sum(t.sic for t in self._tuples)
+            self.header.sic = seq_sum(t.sic for t in self._tuples)
         return self.header.sic
 
     def payload_bytes(self, bytes_per_field: int = 8) -> int:

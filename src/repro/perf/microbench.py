@@ -29,7 +29,7 @@ from ..core.shedding import BalanceSicShedder
 from ..core.sic import SicAssigner, SourceRateEstimator
 from ..core.tuples import Batch, Tuple
 from ..federation.node import FspsNode
-from .stopwatch import PerfRegistry, Stopwatch
+from .stopwatch import PerfRegistry, Stopwatch, default_registry
 
 __all__ = [
     "build_selection_workload",
@@ -42,6 +42,7 @@ __all__ = [
     "time_window_insert",
     "time_window_insert_v2",
     "time_aggregate_v2",
+    "time_join_topk",
     "time_end_to_end_v2",
     "time_end_to_end_fused",
     "time_migration",
@@ -63,6 +64,12 @@ OVERLOAD_SELECTION_RATES = (500.0, 1000.0, 2000.0, 4500.0)
 OVERLOAD_SELECTION_QUERIES = 12
 OVERLOAD_SELECTION_INTERVAL = 0.25
 OVERLOAD_SELECTION_STW = 10.0
+# Join -> top-k kernel: one window of a TOP-5 fragment — two 200-row panes on
+# 2 machine ids (every left row matches 100 right rows: 20 000 joined rows)
+# reduced to five.
+JOIN_TOPK_ROWS = 200
+JOIN_TOPK_KEYS = 2
+JOIN_TOPK_K = 5
 ESTIMATOR_ARRIVALS = 100_000
 ESTIMATOR_CHUNK = 200  # 800 tuples/s observed every 0.25 s interval (fig12)
 
@@ -476,6 +483,62 @@ def time_aggregate_v2(
     if registry is not None:
         registry.record(f"aggregate_v2.{backend}", sw.elapsed_seconds)
     return sw.elapsed_seconds
+
+
+def time_join_topk(
+    row_join: bool = False,
+    seed: int = 0,
+    registry: Optional[PerfRegistry] = None,
+) -> PyTuple[float, int, int]:
+    """``(seconds, items the join emitted, rows materialized)`` for one
+    window of the TOP-5 plan: equi-join of two panes, then the top five.
+
+    The fast side ingests the panes as column blocks: the join emits one
+    joined block, which the ``TopK`` window buckets, checkpoints and ranks as
+    columns.  ``row_join=True`` feeds the same rows as materialized tuples
+    (outside the timer), so the join builds one ``Tuple`` and payload dict
+    per matched pair and the top-k window inserts them one by one — the path
+    every multi-fragment query took before ``Union`` and the join emitted
+    blocks.  Identical ranked output either way.
+    """
+    from ..streaming.operators.join import WindowEquiJoin
+    from ..streaming.operators.topk import TopK
+
+    rng = random.Random(seed)
+    ids = [f"machine-{i % JOIN_TOPK_KEYS}" for i in range(JOIN_TOPK_ROWS)]
+    timestamps = [(i + 0.5) / JOIN_TOPK_ROWS for i in range(JOIN_TOPK_ROWS)]
+    panes = [
+        ColumnBlock(
+            timestamps,
+            [1e-4] * JOIN_TOPK_ROWS,
+            {"id": ids, field: [rng.uniform(0.0, 100.0) for _ in ids]},
+        )
+        for field in ("value", "free")
+    ]
+    join = WindowEquiJoin(left_key="id", right_key="id", window_seconds=1.0)
+    topk = TopK(JOIN_TOPK_K, value_field="value", id_field="id", window_seconds=1.0)
+    inputs = [pane.to_tuples() for pane in panes] if row_join else panes
+    counters = default_registry().counters
+    materialized = counters.get("columns.materialized_rows", 0.0)
+    with Stopwatch() as sw:
+        for port, pane in enumerate(inputs):
+            if row_join:
+                join.ingest(pane, port=port)
+            else:
+                join.ingest_block(pane, port=port)
+        joined = join.advance_items(1.5)
+        if row_join:
+            topk.ingest(joined)
+        else:
+            for block in joined:
+                topk.ingest_block(block)
+        ranked = topk.advance(3.0)
+    materialized = counters.get("columns.materialized_rows", 0.0) - materialized
+    assert len(ranked) == JOIN_TOPK_KEYS and topk.ingested_tuples == 20_000
+    if registry is not None:
+        name = "rows" if row_join else "block"
+        registry.record(f"join_topk.{name}", sw.elapsed_seconds)
+    return sw.elapsed_seconds, len(joined), int(materialized)
 
 
 def time_end_to_end_v2(
@@ -1071,6 +1134,23 @@ def run_microbench(
             "list_ms": e2e_v2_list,
             "speedup": e2e_v2_list / e2e_v2_numpy,
         },
+    }
+
+    # One TOP-5 window, join -> top-k: the block-emitting join against the
+    # row join on the identical panes (best-of-3; identical ranked output).
+    block_runs = [time_join_topk(registry=registry) for _ in range(3)]
+    row_runs = [time_join_topk(row_join=True, registry=registry) for _ in range(3)]
+    block_ms = min(seconds for seconds, _, _ in block_runs) * 1e3
+    rows_ms = min(seconds for seconds, _, _ in row_runs) * 1e3
+    results["join_topk"] = {
+        "rows_per_pane": JOIN_TOPK_ROWS,
+        "keys": JOIN_TOPK_KEYS,
+        "block_ms": block_ms,
+        "join_items": block_runs[0][1],
+        "materialized_rows": block_runs[0][2],
+        "rows_ms": rows_ms,
+        "row_join_items": row_runs[0][1],
+        "speedup": rows_ms / block_ms,
     }
 
     # Fused fragment execution: the plan compiler's single-pass prefix

@@ -7,36 +7,102 @@ join as a two-port operator: both ports buffer tuples in identically
 configured time windows, aligned panes are joined atomically, and the joined
 output shares the input SIC (Equation 3).
 
-Columnar integration: under the default merge rule the join's *output*
-payload schema is data-dependent — a shared field name is prefixed only on
-the rows where the two sides carry different values — so the join cannot
-emit a uniform-schema :class:`~repro.core.columns.ColumnBlock` and
-``_process_columnar`` stays a deliberate per-tuple fallback.  The *input*
-side is vectorized instead: when both panes are column-backed, the build and
-probe phases read the key and payload columns directly and materialize
-payload dicts only for matching rows, instead of materializing every
-buffered tuple first.  Both paths emit identical tuples in identical order
-(differential-tested in ``tests/streaming/test_join_columnar.py``).
+One match kernel (:func:`_match_rows`) pairs the rows of the two panes; two
+emitters turn the pairs into output:
 
-``columnar_output=True`` opts into a *prefix-normalised* merge rule instead:
-a right-side field is renamed ``right_prefix + name`` whenever the left
-schema defines ``name`` — always, not only on conflicting rows.  The output
-schema is then uniform across rows, so ``_process_columnar`` emits one
-joined ``ColumnBlock`` per round and downstream operators stay columnar.
-The default stays off because the rule changes the output schema on rows
+* the **block emitter** (``_process_columnar``) gathers the matched rows of
+  two column-backed panes straight into one joined
+  :class:`~repro.core.columns.ColumnBlock`, so the operators downstream stay
+  columnar;
+* the **row emitter** (``_process``) merges the payload dicts pair by pair.
+
+Under the default merge rule a field both sides define is prefixed
+(``right_prefix + name``) only on the rows where the two values differ, so the
+output schema is data-dependent.  The block emitter therefore compares the
+gathered columns of every shared field: all-equal (no prefixed column — the
+join key, typically) or all-different (one prefixed column) is a uniform
+schema and becomes a block; a round that mixes the two falls back to the row
+emitter.  Both emit identical rows in identical order (differential-tested in
+``tests/streaming/test_join_columnar.py``).
+
+``columnar_output=True`` selects the *prefix-normalised* rule instead: a
+right-side field is renamed whenever the left schema defines its name —
+always, not only on differing rows — so every round has a uniform schema.
+The default stays off because that rule changes the output schema on rows
 where the shared values happen to be equal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
 
-from ...core.columns import ColumnBlock, to_pylist
+from ...core.columns import ColumnBlock, take_rows, to_pylist
 from ...core.tuples import Tuple
-from ..windows import TimeWindow, WindowPane
+from ..windows import TimeWindow
 from .base import Operator, PaneGroup
 
+try:  # Guarded: the list columnar backend works without NumPy.
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only on stripped installs
+    np = None
+
 __all__ = ["WindowEquiJoin"]
+
+
+def _match_rows(
+    left_keys: Sequence[object], right_keys: Sequence[object]
+) -> List[PyTuple[int, List[int]]]:
+    """``(left_row, right_rows)`` for every left row whose key has a match.
+
+    Hash join, build on the right and probe with the left: expanded, the
+    pairs are left-row-major with the right rows of one left row in pane
+    order.  ``None`` keys match nothing.  Left rows with equal keys share one
+    ``right_rows`` list.
+    """
+    build: Dict[object, List[int]] = {}
+    for j, key in enumerate(right_keys):
+        if key is not None:
+            build.setdefault(key, []).append(j)
+    matches: List[PyTuple[int, List[int]]] = []
+    for i, key in enumerate(left_keys):
+        if key is not None:
+            rows = build.get(key)
+            if rows:
+                matches.append((i, rows))
+    return matches
+
+
+def _pair_index(matches: List[PyTuple[int, List[int]]], arrays: bool):
+    """The matches expanded to parallel ``(left_rows, right_rows)`` gather
+    indexes — index arrays when ``arrays``, lists otherwise."""
+    if not arrays:
+        return (
+            [i for i, rows in matches for _ in rows],
+            [j for _, rows in matches for j in rows],
+        )
+    runs: Dict[int, object] = {}  # one index array per distinct right_rows list
+    for _, rows in matches:
+        if id(rows) not in runs:
+            runs[id(rows)] = np.asarray(rows, dtype=np.intp)
+    return (
+        np.repeat(
+            np.asarray([i for i, _ in matches], dtype=np.intp),
+            [len(rows) for _, rows in matches],
+        ),
+        np.concatenate([runs[id(rows)] for _, rows in matches]),
+    )
+
+
+def _count_differing(left, right) -> int:
+    """Rows on which two gathered columns differ (``!=`` per row; NumPy's
+    comparison of object arrays applies the same Python ``!=``)."""
+    if (
+        np is not None
+        and isinstance(left, np.ndarray)
+        and isinstance(right, np.ndarray)
+    ):
+        return int(np.count_nonzero(left != right))
+    return sum(1 for a, b in zip(to_pylist(left), to_pylist(right)) if a != b)
 
 
 class WindowEquiJoin(Operator):
@@ -52,7 +118,7 @@ class WindowEquiJoin(Operator):
         columnar_output: opt into the prefix-normalised merge rule (a right
             field is prefixed whenever its name exists in the left schema,
             regardless of the row's values), which makes the output schema
-            uniform and lets the join emit ``ColumnBlock`` output directly.
+            uniform on every round.
     """
 
     def __init__(
@@ -78,24 +144,18 @@ class WindowEquiJoin(Operator):
         self.right_prefix = right_prefix
         self.columnar_output = bool(columnar_output)
 
-    def _merge_payload(self, left: Tuple, right: Tuple) -> Dict[str, object]:
-        values: Dict[str, object] = {}
-        for name, value in left.values.items():
-            values[name] = value
+    def _merge_payload(
+        self, left: Dict[str, object], right: Dict[str, object]
+    ) -> Dict[str, object]:
+        values = dict(left)
+        prefix = self.right_prefix
         if self.columnar_output:
-            # Prefix-normalised rule: a name in the *left schema* is always
-            # prefixed, so every output row carries the same schema.
-            prefix = self.right_prefix
-            left_fields = left.values
-            for name, value in right.values.items():
-                if name in left_fields:
-                    values[f"{prefix}{name}"] = value
-                else:
-                    values[name] = value
+            for name, value in right.items():
+                values[f"{prefix}{name}" if name in left else name] = value
             return values
-        for name, value in right.values.items():
+        for name, value in right.items():
             if name in values and values[name] != value:
-                values[f"{self.right_prefix}{name}"] = value
+                values[f"{prefix}{name}"] = value
             else:
                 values.setdefault(name, value)
         return values
@@ -103,70 +163,57 @@ class WindowEquiJoin(Operator):
     def _process_columnar(
         self, panes: PaneGroup, now: float
     ) -> Optional[ColumnBlock]:
-        """Emit a joined column block (``columnar_output`` only).
+        """Block emitter: the joined rows as one column group.
 
-        Under the default merge rule this is an explicit per-tuple fallback:
-        a shared field is prefixed only on rows where the sides disagree, so
-        the output schema varies row by row and there is no uniform column
-        representation to emit — the columnar win lives in :meth:`_process`
-        instead, which probes the pane *columns* directly.
-
-        With ``columnar_output=True`` the prefix-normalised rule fixes the
-        schema per round, and both panes being column-backed lets the probe
-        gather survivor rows straight into output columns.
+        Returns ``None`` (row emitter) unless both panes are column-backed
+        and the round's output schema is uniform.  The columns are built with
+        the very assignments :meth:`_merge_payload` makes per row — left
+        fields, then right fields compared against the output so far — so
+        field order and name collisions come out the same.
         """
-        if not self.columnar_output:
-            return None
         left_pane = panes.get(0)
         right_pane = panes.get(1)
         if left_pane is None or right_pane is None:
-            return None  # _process loses the consumed SIC, as today
-        left_block = left_pane.as_block()
-        right_block = right_pane.as_block()
-        if left_block is None or right_block is None:
-            return None  # per-tuple pane: fall back to the row join
-        timestamp = self._pane_timestamp(panes, now)
-        right_keys = right_block.values.get(self.right_key)
-        left_keys = left_block.values.get(self.left_key)
-        if right_keys is None or left_keys is None:
+            return None  # _process loses the consumed SIC
+        left = left_pane.as_block()
+        right = right_pane.as_block()
+        if left is None or right is None:
+            return None
+        left_keys = left.values.get(self.left_key)
+        right_keys = right.values.get(self.right_key)
+        if left_keys is None or right_keys is None:
             return ColumnBlock([], [], {})  # no row carries the key
-        build: Dict[object, List[int]] = {}
-        for j, key in enumerate(to_pylist(right_keys)):
-            if key is None:
-                continue
-            build.setdefault(key, []).append(j)
-        left_rows: List[int] = []
-        right_rows: List[int] = []
-        for i, key in enumerate(to_pylist(left_keys)):
-            if key is None:
-                continue
-            rows = build.get(key)
-            if rows:
-                for j in rows:
-                    left_rows.append(i)
-                    right_rows.append(j)
-        count = len(left_rows)
-        if count == 0:
+        matches = _match_rows(to_pylist(left_keys), to_pylist(right_keys))
+        if not matches:
             return ColumnBlock([], [], {})
-        # Same field order as the normalised row merge: left block fields
-        # first, then right block fields (prefixed where shared).
-        values: Dict[str, List[object]] = {}
-        for field, column in left_block.values.items():
-            column = to_pylist(column)
-            values[field] = [column[i] for i in left_rows]
+        arrays = left.is_array_backed and right.is_array_backed
+        left_rows, right_rows = _pair_index(matches, arrays)
+        count = len(left_rows)
+        values = {f: take_rows(col, left_rows) for f, col in left.values.items()}
         prefix = self.right_prefix
-        left_fields = left_block.values
-        for field, column in right_block.values.items():
-            column = to_pylist(column)
-            name = f"{prefix}{field}" if field in left_fields else field
-            values[name] = [column[j] for j in right_rows]
-        return ColumnBlock(
-            timestamps=[timestamp] * count,
-            sics=[0.0] * count,
-            values=values,
-        )
+        for name, column in right.values.items():
+            column = take_rows(column, right_rows)
+            if self.columnar_output:
+                if name in left.values:
+                    name = f"{prefix}{name}"
+            elif name in values:
+                differing = _count_differing(values[name], column)
+                if differing == 0:
+                    continue
+                if differing != count:
+                    return None  # prefixed on some rows only: no uniform schema
+                name = f"{prefix}{name}"
+            values[name] = column
+        timestamp = self._pane_timestamp(panes, now)
+        if arrays:
+            # The SIC column is a placeholder the base class rebinds.
+            return ColumnBlock._unchecked(
+                np.full(count, timestamp), np.zeros(count), values, None
+            )
+        return ColumnBlock([timestamp] * count, [0.0] * count, values)
 
     def _process(self, panes: PaneGroup, now: float) -> List[Tuple]:
+        """Row emitter: one merged payload dict per matched pair."""
         left_pane = panes.get(0)
         right_pane = panes.get(1)
         if left_pane is None or right_pane is None:
@@ -174,90 +221,17 @@ class WindowEquiJoin(Operator):
             # the consumed SIC is lost exactly as the paper's model dictates.
             return []
         timestamp = self._pane_timestamp(panes, now)
-        left_block = left_pane.as_block()
-        right_block = right_pane.as_block()
-        if left_block is not None and right_block is not None:
-            return self._join_blocks(left_block, right_block, timestamp)
-        return self._join_tuples(left_pane, right_pane, timestamp)
-
-    def _join_tuples(
-        self, left_pane: WindowPane, right_pane: WindowPane, timestamp: float
-    ) -> List[Tuple]:
-        """Seed per-tuple hash join: build on the right, probe with the left."""
-        build: Dict[object, List[Tuple]] = {}
-        for t in right_pane.tuples:
-            key = t.values.get(self.right_key)
-            if key is None:
-                continue
-            build.setdefault(key, []).append(t)
-        outputs: List[Tuple] = []
-        for left in left_pane.tuples:
-            key = left.values.get(self.left_key)
-            if key is None:
-                continue
-            for right in build.get(key, ()):  # type: ignore[arg-type]
-                outputs.append(
-                    Tuple(
-                        timestamp=timestamp,
-                        sic=0.0,
-                        values=self._merge_payload(left, right),
-                    )
-                )
-        return outputs
-
-    def _join_blocks(
-        self, left_block: ColumnBlock, right_block: ColumnBlock, timestamp: float
-    ) -> List[Tuple]:
-        """Column-probing hash join over two column-backed panes.
-
-        Rows are visited in pane order, exactly like the per-tuple path, and
-        payload dicts are built (in block field order — the order
-        ``to_tuples`` would have used) only for the rows that actually match.
-        """
-        right_keys = right_block.values.get(self.right_key)
-        left_keys = left_block.values.get(self.left_key)
-        if right_keys is None or left_keys is None:
-            # A missing key column means no row can carry the key — the
-            # per-tuple path would have skipped every row too.
-            return []
-        right_keys = to_pylist(right_keys)
-        left_keys = to_pylist(left_keys)
-        build: Dict[object, List[int]] = {}
-        for j, key in enumerate(right_keys):
-            if key is None:
-                continue
-            build.setdefault(key, []).append(j)
-        left_fields = list(left_block.values)
-        left_columns = [to_pylist(left_block.values[f]) for f in left_fields]
-        right_fields = list(right_block.values)
-        right_columns = [
-            to_pylist(right_block.values[f]) for f in right_fields
+        left = [t.values for t in left_pane.tuples]
+        right = [t.values for t in right_pane.tuples]
+        left_key = self.left_key
+        right_key = self.right_key
+        matches = _match_rows(
+            [values.get(left_key) for values in left],
+            [values.get(right_key) for values in right],
+        )
+        merge = self._merge_payload
+        return [
+            Tuple(timestamp=timestamp, sic=0.0, values=merge(left[i], right[j]))
+            for i, rows in matches
+            for j in rows
         ]
-        right_prefix = self.right_prefix
-        normalised = self.columnar_output
-        left_field_set = set(left_fields)
-        outputs: List[Tuple] = []
-        for i, key in enumerate(left_keys):
-            if key is None:
-                continue
-            rows = build.get(key)
-            if not rows:
-                continue
-            for j in rows:
-                # Same merge rule as _merge_payload, applied to column rows.
-                values: Dict[str, object] = {
-                    f: column[i] for f, column in zip(left_fields, left_columns)
-                }
-                if normalised:
-                    for f, column in zip(right_fields, right_columns):
-                        name = f"{right_prefix}{f}" if f in left_field_set else f
-                        values[name] = column[j]
-                else:
-                    for f, column in zip(right_fields, right_columns):
-                        value = column[j]
-                        if f in values and values[f] != value:
-                            values[f"{right_prefix}{f}"] = value
-                        else:
-                            values.setdefault(f, value)
-                outputs.append(Tuple(timestamp=timestamp, sic=0.0, values=values))
-        return outputs

@@ -260,6 +260,33 @@ class Union(Operator):
         merged.sort(key=lambda t: t.timestamp)
         return merged
 
+    def _process_columnar(
+        self, panes: PaneGroup, now: float
+    ) -> Optional[ColumnBlock]:
+        """The port panes' blocks concatenated in port order, then stably
+        sorted by timestamp — the row order of :meth:`_process`.
+
+        Declines (per-tuple fallback) when the ports disagree on the payload
+        schema, like a window pane holding heterogeneous ranges.  The merged
+        block keeps a ``source_id`` only when every port shares it and is
+        ``None`` otherwise, whereas the per-tuple rows keep their own: only
+        the routing of *source* batches reads a source id, and a union's
+        output is a derived stream, so nothing downstream can tell.
+        """
+        blocks = _pane_group_blocks(panes)
+        if blocks is None:
+            return None
+        fields = list(blocks[0].values)
+        if any(list(block.values) != fields for block in blocks[1:]):
+            return None
+        if len(blocks) == 1:
+            merged = blocks[0]
+        else:
+            merged = ColumnBlock.concat_ranges([(b, 0, len(b)) for b in blocks])
+        order = merged.stable_time_order()
+        # A fresh block either way: the base class rebinds its SIC column.
+        return merged.shallow_copy() if order is None else merged.take(order)
+
 
 class OutputOperator(Operator):
     """Root operator emitting result tuples to the query user."""

@@ -40,7 +40,13 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.columns import SMALL_COLUMN, ColumnAppender, ColumnBlock, seq_sum
+from ..core.columns import (
+    SMALL_COLUMN,
+    ColumnAppender,
+    ColumnBlock,
+    seq_sum,
+    take_rows,
+)
 from ..core.tuples import Tuple
 
 try:  # Guarded: the list columnar backend works without NumPy.
@@ -105,7 +111,7 @@ class WindowPane:
         self._order: Optional[List[int]] = None
         if tuples is not None:
             self._count = len(tuples)
-            self.sic = sum(t.sic for t in tuples) if sic is None else sic
+            self.sic = seq_sum(t.sic for t in tuples) if sic is None else sic
         elif ranges is not None:
             self._count = (
                 count
@@ -193,25 +199,7 @@ class WindowPane:
                 merged = ColumnBlock.concat_ranges(ranges)
             self._merged = merged
             if self._sort_tuples:
-                timestamps = merged.timestamps
-                if np is not None and isinstance(timestamps, np.ndarray):
-                    ordered = bool(np.all(timestamps[1:] >= timestamps[:-1]))
-                    if not ordered:
-                        # Stable permutation — argsort(kind="stable") applies
-                        # the same reordering a stable sort of the
-                        # materialized tuples by timestamp would.
-                        self._order = np.argsort(timestamps, kind="stable")
-                else:
-                    ordered = all(
-                        timestamps[i] <= timestamps[i + 1]
-                        for i in range(len(timestamps) - 1)
-                    )
-                    if not ordered:
-                        # Stable permutation — same reordering a stable sort
-                        # of the materialized tuples by timestamp would apply.
-                        self._order = sorted(
-                            range(len(timestamps)), key=timestamps.__getitem__
-                        )
+                self._order = merged.stable_time_order()
         return self._merged
 
     def timestamps_column(self) -> Optional[List[float]]:
@@ -221,10 +209,7 @@ class WindowPane:
             return None
         if self._order is None:
             return merged.timestamps
-        timestamps = merged.timestamps
-        if np is not None and isinstance(timestamps, np.ndarray):
-            return timestamps[self._order]
-        return [timestamps[i] for i in self._order]
+        return take_rows(merged.timestamps, self._order)
 
     def as_block(self) -> Optional[ColumnBlock]:
         """The whole pane as one column group in pane order, or ``None``.
@@ -238,25 +223,7 @@ class WindowPane:
             return None
         if self._order is None:
             return merged
-        order = self._order
-        timestamps = merged.timestamps
-        sics = merged.sics
-        if np is not None and isinstance(timestamps, np.ndarray):
-            # Fancy indexing applies the stable permutation per column.
-            return ColumnBlock._unchecked(
-                timestamps[order],
-                sics[order],
-                {f: col[order] for f, col in merged.values.items()},
-                merged.source_id,
-            )
-        return ColumnBlock(
-            timestamps=[timestamps[i] for i in order],
-            sics=[sics[i] for i in order],
-            values={
-                f: [col[i] for i in order] for f, col in merged.values.items()
-            },
-            source_id=merged.source_id,
-        )
+        return merged.take(self._order)
 
     def columns(self, *fields: str) -> Optional[List[Optional[List[Any]]]]:
         """Payload columns for ``fields`` in pane order, or ``None``.
@@ -292,9 +259,7 @@ class WindowPane:
             return None
         if self._order is None:
             return column
-        if np is not None and isinstance(column, np.ndarray):
-            return column[self._order]
-        return [column[i] for i in self._order]
+        return take_rows(column, self._order)
 
 
 class _PaneAcc:
@@ -538,21 +503,15 @@ class TimeWindow(WindowBuffer):
     def is_sliding(self) -> bool:
         return self.slide < self.size
 
-    def _pane_indices(self, timestamp: float) -> List[int]:
-        """Indices of all panes a tuple with ``timestamp`` belongs to.
-
-        Pane ``i`` covers ``[i * slide, i * slide + size)``; a tuple belongs to
-        every pane whose interval contains its timestamp, i.e.
-        ``floor((t - size) / slide) + 1 <= i <= floor(t / slide)``.
-        """
-        last = int(math.floor(timestamp / self.slide))
-        first = int(math.floor((timestamp - self.size) / self.slide)) + 1
-        return list(range(first, last + 1))
-
     def _index_pair(self, timestamp: float) -> "tuple[int, int]":
-        """(first, last) pane index of ``timestamp`` — both nondecreasing in
-        the timestamp, which is what makes the run search in
-        :meth:`insert_block` a valid binary search."""
+        """(first, last) index of the panes ``timestamp`` belongs to.
+
+        Pane ``i`` covers ``[i * slide, i * slide + size)``, so a tuple
+        belongs to every pane with ``floor((t - size) / slide) + 1 <= i <=
+        floor(t / slide)``.  Both bounds are nondecreasing in the timestamp,
+        which is what makes the run search in :meth:`insert_block` a valid
+        binary search.
+        """
         last = int(math.floor(timestamp / self.slide))
         first = int(math.floor((timestamp - self.size) / self.slide)) + 1
         return first, last
@@ -565,24 +524,46 @@ class TimeWindow(WindowBuffer):
         return acc
 
     def insert(self, tuples: Sequence[Tuple]) -> None:
+        """Bucket-assign ``tuples`` one by one (the exact reference path).
+
+        A tuple in exactly one pane (every tumbling-window tuple, bar ulp
+        rounding) joins the current same-pane *run*, handed to the pane in
+        one ``add_tuples`` call — the SIC additions of a pane stay in
+        insertion order.  A tuple in several panes (sliding windows) has its
+        SIC divided equally over the panes still open, so the total
+        information content is conserved; its share of already-closed panes
+        is lost.
+        """
         size = self.size
         slide = self.slide
         last_closed = self._last_closed_end
+        index_pair = self._index_pair
+        run: List[Tuple] = []
+        run_index = 0
         for t in tuples:
-            indices = self._pane_indices(t.timestamp)
-            # Panes whose end time has already been closed cannot accept the
-            # tuple any more; its share of SIC for those panes is lost.
-            indices = [i for i in indices if i * slide + size > last_closed]
-            if not indices:
+            first, last = index_pair(t.timestamp)
+            if first == last and run and last == run_index:
+                run.append(t)
                 continue
+            if run:
+                self._acc(run_index).add_tuples(run)
+                run = []
+            if first == last:
+                if last * slide + size > last_closed:
+                    run_index = last
+                    run.append(t)
+                continue
+            indices = [
+                i for i in range(first, last + 1) if i * slide + size > last_closed
+            ]
             if len(indices) == 1:
                 self._acc(indices[0]).add_tuple(t)
-                continue
-            # Sliding window: split the tuple's SIC across its panes so that
-            # the total information content is conserved.
-            share = t.sic / len(indices)
-            for idx in indices:
-                self._acc(idx).add_tuple(t.with_sic(share))
+            elif indices:
+                share = t.sic / len(indices)
+                for idx in indices:
+                    self._acc(idx).add_tuple(t.with_sic(share))
+        if run:
+            self._acc(run_index).add_tuples(run)
 
     def insert_block(
         self, block: ColumnBlock, lo: int = 0, hi: Optional[int] = None
@@ -717,7 +698,7 @@ class TimeWindow(WindowBuffer):
         return sum(acc.count for acc in self._panes.values())
 
     def pending_sic(self) -> float:
-        return sum(self._panes[idx].sic for idx in sorted(self._panes))
+        return seq_sum(self._panes[idx].sic for idx in sorted(self._panes))
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -781,7 +762,7 @@ class CountWindow(WindowBuffer):
         return len(self._buffer)
 
     def pending_sic(self) -> float:
-        return sum(t.sic for t in self._buffer)
+        return seq_sum(t.sic for t in self._buffer)
 
     def snapshot(self) -> Dict[str, Any]:
         return {

@@ -23,7 +23,12 @@ from repro.core.columns import (
 )
 from repro.core.sic import SicAssigner, SourceRateEstimator
 from repro.core.tuples import SMALL_COLUMN, Batch, Tuple
-from repro.streaming.windows import ImmediateWindow, TimeWindow
+from repro.streaming.windows import (
+    CountWindow,
+    ImmediateWindow,
+    TimeWindow,
+    WindowPane,
+)
 
 
 def make_block(n=10, start=0.0, source_id="s"):
@@ -88,6 +93,35 @@ class TestSequentialSum:
             assert seq_sum(values, initial) == total
             assert seq_sum(np.asarray(values), initial) == total
         assert (len(values) <= SMALL_COLUMN) == (repeats == 8)
+
+    def test_sic_totals_over_tuples_and_panes_are_the_same_naive_fold(self):
+        # Every SIC total the per-tuple path computes must be the fold the
+        # columnar path gets from seq_sum — not the builtin sum().
+        sics = [1e16, 1.0, -1e16, 1.0] * 8
+        naive = 0.0
+        for s in sics:
+            naive += s
+        assert naive != math.fsum(sics)
+
+        def tuples(timestamp=lambda i: 0.0):
+            return [Tuple(timestamp(i), s, {"v": 1.0}) for i, s in enumerate(sics)]
+
+        batch = Batch("q", tuples())
+        assert batch.header.sic == naive
+        batch.header.sic = 0.0
+        assert batch.refresh_sic() == naive
+        assert WindowPane(0.0, 1.0, tuples=tuples()).sic == naive
+        with use_backend("list"):
+            block = ColumnBlock([0.0] * len(sics), sics, {})
+            assert block.sic_total() == naive
+        count = CountWindow(len(sics) + 1)
+        count.insert(tuples())
+        assert count.pending_sic() == naive
+        # One tuple per tumbling pane: the pending total folds pane SICs.
+        window = TimeWindow(1.0)
+        window.insert(tuples(timestamp=lambda i: i + 0.5))
+        assert window.pending_count() == len(sics)
+        assert window.pending_sic() == naive
 
     def test_seq_sum_small_and_empty(self):
         assert seq_sum(np.asarray([])) == 0.0

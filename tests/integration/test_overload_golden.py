@@ -16,10 +16,14 @@ constants only for a documented, intended decision change.
 
 import hashlib
 import json
+from unittest import mock
 
 from repro.experiments.common import build_federation
+from repro.perf.stopwatch import default_registry
 from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import Simulator
+from repro.streaming.operators import TopK, WindowEquiJoin
+from repro.streaming.windows import TimeWindow
 from repro.workloads.aggregate import make_aggregate_query
 from repro.workloads.complex import make_complex_query
 
@@ -68,7 +72,7 @@ def run_single_node_overload():
     return Simulator(system, config).run()
 
 
-def run_three_node_multi_fragment():
+def build_three_node_multi_fragment():
     """avg-all / top5 / cov, each as 1 and as 3 fragments, over 3 nodes."""
     config = SimulationConfig(
         duration_seconds=10.0,
@@ -88,7 +92,11 @@ def run_three_node_multi_fragment():
         )
         for i, kind in enumerate(("avg-all", "top5", "cov") * 2)
     ]
-    system = build_federation(queries, num_nodes=3, config=config)
+    return build_federation(queries, num_nodes=3, config=config), config
+
+
+def run_three_node_multi_fragment():
+    system, config = build_three_node_multi_fragment()
     return Simulator(system, config).run()
 
 
@@ -105,3 +113,37 @@ def test_three_node_multi_fragment_golden():
     result = run_three_node_multi_fragment()
     assert all(s.shed_tuples > 0 for s in result.node_summaries)
     assert fingerprint(result) == THREE_NODE_MULTI_FRAGMENT
+
+
+def test_multi_fragment_plans_stay_columnar():
+    """Budget guard without a timer: union -> join -> top-k runs on blocks.
+
+    A silent return to the per-tuple path (a ``Union`` or join that stops
+    emitting blocks) would materialise rows or insert ``Tuple`` objects into
+    a join / top-k window; both are counted here, deterministically.
+    """
+    system, config = build_three_node_multi_fragment()
+    windows = {
+        id(window): operator.name
+        for node in system.nodes.values()
+        for fragment in node.fragments.values()
+        for operator in fragment.operators.values()
+        if isinstance(operator, (WindowEquiJoin, TopK))
+        for window in operator._windows
+    }
+    assert len(windows) == 4 * 2 + 4  # four top5 fragments: a join and a top-k each
+    per_tuple_inserts = []
+    insert = TimeWindow.insert
+
+    def recording_insert(self, tuples):
+        if id(self) in windows and tuples:
+            per_tuple_inserts.append((windows[id(self)], len(tuples)))
+        return insert(self, tuples)
+
+    counters = default_registry().counters
+    before = counters.get("columns.materialized_rows", 0.0)
+    with mock.patch.object(TimeWindow, "insert", recording_insert):
+        result = Simulator(system, config).run()
+    assert fingerprint(result) == THREE_NODE_MULTI_FRAGMENT
+    assert counters.get("columns.materialized_rows", 0.0) == before
+    assert per_tuple_inserts == []

@@ -289,3 +289,31 @@ class TestPaneSicConservation:
             reference.insert(block.to_tuples())
         assert_panes_identical(fast.advance(1e9), reference.advance(1e9))
         assert fast.pending_count() == reference.pending_count()
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_stream(), st.integers(min_value=0, max_value=5))
+    def test_per_tuple_insert_equals_reference_with_late_tuples(self, stream, closing):
+        """``insert`` hands same-pane runs to the pane in one call.  Panes
+        closed before block ``closing`` make its early tuples late.  The
+        panes must equal the seed's, and their SIC must be bit-equal to
+        inserting the tuples one call at a time (same additions, same order)."""
+        blocks, size, slide = stream
+        kwargs = {"slide_seconds": slide, "allowed_lateness": 0.0}
+        fast = TimeWindow(size, **kwargs)
+        single = TimeWindow(size, **kwargs)
+        reference = ReferenceTimeWindow(size, **kwargs)
+        windows = (fast, single, reference)
+        panes = ([], [], [])
+        for index, (timestamps, sics) in enumerate(blocks):
+            if index == closing and timestamps:
+                for window, closed in zip(windows, panes):
+                    closed += window.advance(max(timestamps))
+            tuples = make_block(timestamps, sics=sics).to_tuples()
+            fast.insert(tuples)
+            reference.insert(tuples)
+            for t in tuples:
+                single.insert([t])
+        for window, closed in zip(windows, panes):
+            closed += window.advance(1e9)
+        assert_panes_identical(panes[0], panes[2])
+        assert [p.sic for p in panes[0]] == [p.sic for p in panes[1]]
