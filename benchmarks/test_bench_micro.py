@@ -42,6 +42,7 @@ from repro.perf.microbench import (
     time_runtime,
     time_selection,
     time_sharded,
+    time_tied_selection,
     time_window_insert,
     time_window_insert_v2,
 )
@@ -51,6 +52,11 @@ SELECTION_SPEEDUP_FLOOR = 5.0
 # tuples kept): the piece-free cursor loop vs the reference, which builds a
 # batch piece per water-filling step (observed ~6x).
 OVERLOAD_SELECTION_SPEEDUP_FLOOR = 5.0
+# One round of `many_queries` (300 small queries whose classes move in
+# lockstep, so nearly every step breaks a tie among dozens of queries): the
+# tie group as a prefix of the ordered index vs the reference's three scans
+# over all queries per step (observed ~10x: ~14 ms against ~139 ms).
+TIED_SELECTION_SPEEDUP_FLOOR = 6.0
 ESTIMATOR_SPEEDUP_FLOOR = 10.0
 # Columnar pipeline floors (observed: generation ~9x, window ~11x, end-to-end
 # ~1.8x on the recording machine — see BENCH_shedding.json).  The end-to-end
@@ -181,6 +187,29 @@ class TestSelectionBenchmarks:
         assert speedup >= OVERLOAD_SELECTION_SPEEDUP_FLOOR, (
             f"overloaded BALANCE-SIC round regressed: only {speedup:.1f}x over "
             f"the reference (floor {OVERLOAD_SELECTION_SPEEDUP_FLOOR}x); "
+            f"fast={fast * 1e3:.2f} ms reference={reference * 1e3:.2f} ms"
+        )
+
+    def test_tied_selection_replays_the_reference_steps(self, benchmark):
+        # Deterministic, so never skipped: same number of water-filling steps
+        # as the reference, and most of them break a tie.
+        _, steps = benchmark.pedantic(
+            time_tied_selection, rounds=1, iterations=1
+        )
+        _, reference_steps = time_tied_selection(use_reference=True)
+        benchmark.extra_info["steps"] = steps
+        assert steps == reference_steps > 1000
+
+    @skip_perf_asserts
+    def test_tied_selection_speedup_vs_reference(self):
+        fast = min(time_tied_selection()[0] for _ in range(5))
+        reference = min(
+            time_tied_selection(use_reference=True)[0] for _ in range(3)
+        )
+        speedup = reference / fast
+        assert speedup >= TIED_SELECTION_SPEEDUP_FLOOR, (
+            f"tie-heavy BALANCE-SIC round regressed: only {speedup:.1f}x over "
+            f"the reference (floor {TIED_SELECTION_SPEEDUP_FLOOR}x); "
             f"fast={fast * 1e3:.2f} ms reference={reference * 1e3:.2f} ms"
         )
 

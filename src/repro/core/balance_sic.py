@@ -23,12 +23,21 @@ selection starts, each query's reported result SIC is reduced by the total SIC
 currently sitting in the input buffer for that query, i.e. the node plans as if
 it shed everything and then "earns back" SIC for every batch it accepts.
 
-Selection is implemented with two lazily-invalidated min-heaps keyed by the
-queries' working SIC values — one over queries with pending batches (for
-``q'``) and one over all queries (for ``q''``) — so a selection round costs
-O((B + I) log Q) instead of the O(I × Q) linear rescans of the straightforward
-implementation (kept in :mod:`repro.core._reference` as the equivalence oracle
-and perf baseline).
+Selection keeps one ordered index instead of rescanning the queries every
+step (the straightforward O(I x Q) implementation is kept in
+:mod:`repro.core._reference` as the equivalence oracle and perf baseline):
+the queries that still have pending batches sit in a list of
+``(working SIC, buffer position, state)`` kept sorted with ``bisect``, and
+the working SICs of the queries that have none sit in a second sorted list.
+``q'`` is the head of the first list.  Its tie group is the prefix of
+entries within ``epsilon`` of that minimum, ordered by buffer position (the
+order it already has when the tied values are bit-equal); the winner is
+drawn from it with one ``rng.choice``, and only when at least two queries
+are tied.  ``q''`` is the first entry of either list beyond ``q' +
+epsilon``.  A step removes one entry and re-inserts it at its new SIC, so
+the index never holds a stale entry: a step costs O(log Q) comparisons and
+one pointer move of the list, plus a slice and a sort of the tied prefix
+when there is a tie.
 
 The loop is *piece-free*: accepting tuples from a query's top pending batch
 only advances an integer cursor over that batch and reads the accepted SIC
@@ -53,10 +62,11 @@ the reference emits one batch piece per step.
 
 from __future__ import annotations
 
-import heapq
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple as PyTuple
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .tuples import Batch, total_tuples as _total_tuples
 
@@ -175,9 +185,9 @@ class _QueryState:
     the first partial accept; ``prefix[i]`` is the SIC of its first ``i``
     tuples).  ``kept_slot`` is where the partially accepted top batch sits
     in the decision's kept list.  ``order`` is the query's insertion
-    position, used to reproduce the buffer-order tie-breaking of the
-    reference implementation; ``version`` invalidates stale heap entries
-    after ``working_sic`` changes.
+    position: it is the second key of the query's entry in the selection
+    index, which makes entries with equal ``working_sic`` sort in buffer
+    order, the order the reference implementation breaks ties in.
     """
 
     __slots__ = (
@@ -186,7 +196,6 @@ class _QueryState:
         "pending",
         "pending_sic",
         "order",
-        "version",
         "taken",
         "rest_len",
         "rest_sic",
@@ -207,7 +216,6 @@ class _QueryState:
         self.pending = pending
         self.pending_sic = pending_sic
         self.order = order
-        self.version = 0
         self.kept_slot = -1
         self.open_top()
 
@@ -256,9 +264,9 @@ class _QueryState:
         return _total_tuples(pending)
 
 
-# Heap entries are ``(working_sic, order, version, state)``; ``order`` is
-# unique per state so the comparison never reaches the state object.
-_HeapEntry = PyTuple[float, int, int, _QueryState]
+# Index entries are ``(working_sic, order, state)``; ``order`` is unique per
+# state so a comparison never reaches the state object.
+_buffer_order = itemgetter(1)
 
 
 class BalanceSicPolicy:
@@ -326,68 +334,47 @@ class BalanceSicPolicy:
         shed_tuples = 0
         iterations = 0
 
-        pending_heap: List[_HeapEntry] = []
-        target_heap: List[_HeapEntry] = []
-        for s in states.values():
-            entry = (s.working_sic, s.order, s.version, s)
-            target_heap.append(entry)
-            if s.pending:
-                pending_heap.append(entry)
-        heapq.heapify(pending_heap)
-        heapq.heapify(target_heap)
-        # Entries whose SIC sits within epsilon of the current reference: they
-        # are no target now but could become one if the reference dips (tied
-        # picks can lower it by up to epsilon), so they are parked instead of
-        # dropped and re-inserted on the rare reference decrease.
-        parked: List[_HeapEntry] = []
-        last_ref: Optional[float] = None
+        # Orders are 0..len(states)-1, so ``(value, past_order)`` sorts after
+        # every index entry whose working SIC equals ``value``.
+        past_order = len(states)
+        pend = sorted(
+            (s.working_sic, s.order, s) for s in states.values() if s.pending
+        )
+        idle = sorted(s.working_sic for s in states.values() if not s.pending)
 
         # The loop below runs once per water-filling step (thousands of times
-        # per round under permanent overload), so the two heap queries are
+        # per round under permanent overload), so the index queries are
         # written out in place instead of being method calls.
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        while remaining > 0:
-            # q': the minimum-SIC query that still has pending batches.
-            while pending_heap:
-                entry = pending_heap[0]
-                q_prime = entry[3]
-                if entry[2] == q_prime.version and q_prime.pending:
-                    break
-                heappop(pending_heap)
+        choice = self.rng.choice
+        while remaining > 0 and pend:
+            # q': the minimum-SIC query that still has pending batches; the
+            # queries within epsilon of it are tied and one is drawn.
+            working = pend[0][0]
+            limit = working + eps
+            if len(pend) == 1 or pend[1][0] > limit:
+                q_prime = pend.pop(0)[2]
+                beyond = 0
             else:
-                break
-            heappop(pending_heap)
-            working = entry[0]
-            if pending_heap and pending_heap[0][0] <= working + eps:
-                q_prime = self._break_tie(entry, pending_heap)
-                working = q_prime.working_sic
+                count = bisect_right(pend, (limit, past_order))
+                tied = pend[:count]
+                if tied[-1][0] != working:
+                    tied.sort(key=_buffer_order)
+                chosen = choice(tied)
+                del pend[bisect_left(pend, chosen, 0, count)]
+                working, _order, q_prime = chosen
+                limit = working + eps
+                beyond = bisect_right(pend, (limit, past_order), count - 1)
             iterations += 1
 
-            if last_ref is not None and working < last_ref and parked:
-                for parked_entry in parked:
-                    heappush(target_heap, parked_entry)
-                parked.clear()
-            last_ref = working
             # q'': the next-lowest SIC value strictly above q' (beyond
-            # epsilon).  Entries at or below q' can never become targets
-            # again (the reference never decreases by more than epsilon
-            # between iterations, because ties span at most epsilon), so they
-            # are popped for good; entries within ``(q', q' + epsilon]`` are
-            # parked and restored above if the reference ever dips.
-            threshold = working + eps
+            # epsilon), among the queries with pending batches and without.
             target: Optional[float] = None
-            while target_heap:
-                lowest = target_heap[0]
-                if lowest[2] != lowest[3].version:
-                    heappop(target_heap)
-                elif lowest[0] > threshold:
-                    target = lowest[0]
-                    break
-                else:
-                    heappop(target_heap)
-                    if lowest[0] > working:
-                        parked.append(lowest)
+            if beyond < len(pend):
+                target = pend[beyond][0]
+            if idle and idle[-1] > limit:
+                level = idle[bisect_right(idle, limit)]
+                if target is None or level < target:
+                    target = level
 
             pending = q_prime.pending
             accepted_any = False
@@ -449,11 +436,10 @@ class BalanceSicPolicy:
                 shed_tuples += q_prime.shed_pending(kept, shed)
             else:
                 q_prime.working_sic = working
-                q_prime.version += 1
-                entry = (working, q_prime.order, q_prime.version, q_prime)
-                heappush(target_heap, entry)
-                if pending:
-                    heappush(pending_heap, entry)
+            if q_prime.pending:
+                insort(pend, (working, q_prime.order, q_prime))
+            else:
+                insort(idle, working)
 
         # Whatever was not selected is shed (Algorithm 1, line 7).
         for state in states.values():
@@ -520,32 +506,3 @@ class BalanceSicPolicy:
             pending.sort(key=lambda b: b.sic)
         else:
             self.rng.shuffle(pending)
-
-    def _break_tie(
-        self, first: _HeapEntry, pending_heap: List[_HeapEntry]
-    ) -> _QueryState:
-        """Pick ``q'`` among the queries tied with the popped minimum.
-
-        Queries whose working SIC is within epsilon of the minimum are tied;
-        the winner is drawn with the same ``rng.choice`` over the tied queries
-        in buffer order as the reference implementation, and the losers are
-        pushed back.
-        """
-        limit = first[0] + self.config.epsilon
-        tied: List[_HeapEntry] = [first]
-        while pending_heap:
-            sic, _order, version, state = pending_heap[0]
-            if version != state.version or not state.pending:
-                heapq.heappop(pending_heap)
-            elif sic <= limit:
-                tied.append(heapq.heappop(pending_heap))
-            else:
-                break
-        if len(tied) == 1:
-            return first[3]
-        tied.sort(key=lambda e: e[1])
-        chosen = self.rng.choice(tied)
-        for entry in tied:
-            if entry is not chosen:
-                heapq.heappush(pending_heap, entry)
-        return chosen[3]

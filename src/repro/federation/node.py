@@ -462,10 +462,9 @@ class FspsNode:
         result.overloaded = overloaded
         if overloaded:
             self.stats.overloaded_ticks += 1
-
-        reported = self._current_sic_view(now)
-        if overloaded:
             self.stats.shedder_invocations += 1
+            # Only the shedder reads the SIC view, so it is built here.
+            reported = self._current_sic_view(now)
             start = timer() if timer else None
             decision = self.shedder.shed(
                 buffered, capacity, reported, total_tuples=buffered_tuples

@@ -23,7 +23,7 @@ from ..core._reference import (
     ReferenceSicAssigner,
     ReferenceSourceRateEstimator,
 )
-from ..core.balance_sic import BalanceSicPolicy
+from ..core.balance_sic import BalanceSicPolicy, ShedDecision
 from ..core.columns import ColumnBlock, use_backend
 from ..core.shedding import BalanceSicShedder
 from ..core.sic import SicAssigner, SourceRateEstimator
@@ -36,6 +36,8 @@ __all__ = [
     "time_selection",
     "build_overload_selection_workload",
     "time_overload_selection",
+    "build_tied_selection_workload",
+    "time_tied_selection",
     "time_estimator_ingest",
     "time_node_ticks",
     "time_generation_sic",
@@ -64,6 +66,13 @@ OVERLOAD_SELECTION_RATES = (500.0, 1000.0, 2000.0, 4500.0)
 OVERLOAD_SELECTION_QUERIES = 12
 OVERLOAD_SELECTION_INTERVAL = 0.25
 OVERLOAD_SELECTION_STW = 10.0
+# Tie-heavy selection kernel: one shedding round of the benchmark of record's
+# `many_queries` workload — 300 small queries in four rate classes, one
+# columnar 250 ms batch each, the queries of a class reporting the same
+# result SIC up to rounding error, half of the buffer kept.
+TIED_SELECTION_RATES = (40.0, 80.0, 120.0, 80.0)
+TIED_SELECTION_QUERIES = 300
+TIED_SELECTION_JITTER = 1e-13
 # Join -> top-k kernel: one window of a TOP-5 fragment — two 200-row panes on
 # 2 machine ids (every left row matches 100 right rows: 20 000 joined rows)
 # reduced to five.
@@ -125,6 +134,25 @@ def build_selection_workload(
     return batches, reported, capacity
 
 
+def _timed_select(
+    workload: PyTuple[List[Batch], Dict[str, float], int],
+    use_reference: bool,
+    seed: int,
+    registry: Optional[PerfRegistry],
+    lap: str,
+) -> PyTuple[float, ShedDecision]:
+    """Time one selection round that keeps exactly ``capacity`` tuples."""
+    batches, reported, capacity = workload
+    cls = ReferenceBalanceSicPolicy if use_reference else BalanceSicPolicy
+    policy = cls(rng=random.Random(seed))
+    with Stopwatch() as sw:
+        decision = policy.select(batches, capacity, reported)
+    assert decision.kept_tuples == capacity
+    if registry is not None:
+        registry.record(lap, sw.elapsed_seconds)
+    return sw.elapsed_seconds, decision
+
+
 def time_selection(
     num_queries: int,
     use_reference: bool = False,
@@ -132,16 +160,29 @@ def time_selection(
     registry: Optional[PerfRegistry] = None,
 ) -> float:
     """Seconds for one BALANCE-SIC selection round over a fresh workload."""
-    batches, reported, capacity = build_selection_workload(num_queries, seed=seed)
-    cls = ReferenceBalanceSicPolicy if use_reference else BalanceSicPolicy
-    policy = cls(rng=random.Random(seed))
-    with Stopwatch() as sw:
-        decision = policy.select(batches, capacity, reported)
-    assert decision.kept_tuples == capacity
-    if registry is not None:
-        name = "selection.reference" if use_reference else "selection.fast"
-        registry.record(f"{name}.q{num_queries}", sw.elapsed_seconds)
-    return sw.elapsed_seconds
+    name = "selection.reference" if use_reference else "selection.fast"
+    seconds, _ = _timed_select(
+        build_selection_workload(num_queries, seed=seed),
+        use_reference,
+        seed,
+        registry,
+        f"{name}.q{num_queries}",
+    )
+    return seconds
+
+
+def _interval_batch(
+    query_id: str, source_id: str, rate: float, rng: random.Random
+) -> Batch:
+    """One columnar batch: a shedding interval of a ``rate`` t/s source."""
+    count = int(rate * OVERLOAD_SELECTION_INTERVAL)
+    block = ColumnBlock(
+        [i / rate for i in range(count)],
+        [1.0 / (rate * OVERLOAD_SELECTION_STW)] * count,
+        {"v": [rng.random() for _ in range(count)]},
+        source_id=source_id,
+    )
+    return Batch.from_block(query_id, block)
 
 
 def build_overload_selection_workload(
@@ -160,15 +201,8 @@ def build_overload_selection_workload(
     for q in range(OVERLOAD_SELECTION_QUERIES):
         query_id = f"q{q:02d}"
         rate = OVERLOAD_SELECTION_RATES[q % len(OVERLOAD_SELECTION_RATES)]
-        count = int(rate * OVERLOAD_SELECTION_INTERVAL)
         reported[query_id] = 0.5 + rng.uniform(-0.005, 0.005)
-        block = ColumnBlock(
-            [i / rate for i in range(count)],
-            [1.0 / (rate * OVERLOAD_SELECTION_STW)] * count,
-            {"v": [rng.random() for _ in range(count)]},
-            source_id=f"s{q:02d}",
-        )
-        batches.append(Batch.from_block(query_id, block))
+        batches.append(_interval_batch(query_id, f"s{q:02d}", rate, rng))
     capacity = sum(len(b) for b in batches) // 2
     return batches, reported, capacity
 
@@ -184,16 +218,67 @@ def time_overload_selection(
     downstream of the shedder (delivery, window insert, the node-local SIC
     tracker) runs once per kept entry.
     """
-    batches, reported, capacity = build_overload_selection_workload(seed)
-    cls = ReferenceBalanceSicPolicy if use_reference else BalanceSicPolicy
-    policy = cls(rng=random.Random(seed))
-    with Stopwatch() as sw:
-        decision = policy.select(batches, capacity, reported)
-    assert decision.kept_tuples == capacity
-    if registry is not None:
-        name = "reference" if use_reference else "fast"
-        registry.record(f"selection.overload.{name}", sw.elapsed_seconds)
-    return sw.elapsed_seconds, len(decision.kept)
+    name = "reference" if use_reference else "fast"
+    seconds, decision = _timed_select(
+        build_overload_selection_workload(seed),
+        use_reference,
+        seed,
+        registry,
+        f"selection.overload.{name}",
+    )
+    return seconds, len(decision.kept)
+
+
+def build_tied_selection_workload(
+    seed: int = 0,
+) -> PyTuple[List[Batch], Dict[str, float], int]:
+    """One round of overload over many small, tied queries.
+
+    The queries of a rate class carry identical batches and report result
+    SICs within ``TIED_SELECTION_JITTER`` of each other — inside the
+    selection's ``epsilon``, not equal — so they move through the
+    water-filling in lockstep and nearly every step has to break a tie
+    between dozens of them.
+    """
+    rng = random.Random(seed)
+    levels = [0.5 + rng.uniform(-0.005, 0.005) for _ in TIED_SELECTION_RATES]
+    batches: List[Batch] = []
+    reported: Dict[str, float] = {}
+    for q in range(TIED_SELECTION_QUERIES):
+        query_id = f"q{q:03d}"
+        rate_class = q % len(TIED_SELECTION_RATES)
+        reported[query_id] = levels[rate_class] + rng.uniform(
+            -TIED_SELECTION_JITTER, TIED_SELECTION_JITTER
+        )
+        batches.append(
+            _interval_batch(
+                query_id, f"s{q:03d}", TIED_SELECTION_RATES[rate_class], rng
+            )
+        )
+    capacity = sum(len(b) for b in batches) // 2
+    return batches, reported, capacity
+
+
+def time_tied_selection(
+    use_reference: bool = False,
+    seed: int = 0,
+    registry: Optional[PerfRegistry] = None,
+) -> PyTuple[float, int]:
+    """``(seconds, water-filling steps)`` for one tie-heavy selection round.
+
+    The step count is the same on both sides (the fast path replays the
+    reference's steps exactly), so the ratio of the two times is the cost of
+    a step.
+    """
+    name = "reference" if use_reference else "fast"
+    seconds, decision = _timed_select(
+        build_tied_selection_workload(seed),
+        use_reference,
+        seed,
+        registry,
+        f"selection.tied.{name}",
+    )
+    return seconds, decision.iterations
 
 
 def time_estimator_ingest(
@@ -987,6 +1072,23 @@ def run_microbench(
         "kept_entries": fast_runs[0][1],
         "reference_ms": reference_ms,
         "reference_kept_entries": reference_runs[0][1],
+        "speedup": reference_ms / fast_ms,
+    }
+
+    # One tie-heavy round (300 small queries in lockstep classes): best-of-3
+    # on both sides; ``steps`` is the water-filling step count both share.
+    fast_runs = [time_tied_selection(registry=registry) for _ in range(3)]
+    reference_runs = [
+        time_tied_selection(use_reference=True, registry=registry)
+        for _ in range(3)
+    ]
+    fast_ms = min(seconds for seconds, _ in fast_runs) * 1e3
+    reference_ms = min(seconds for seconds, _ in reference_runs) * 1e3
+    results["selection"][f"tied_q{TIED_SELECTION_QUERIES}"] = {
+        "input_batches": TIED_SELECTION_QUERIES,
+        "steps": fast_runs[0][1],
+        "fast_ms": fast_ms,
+        "reference_ms": reference_ms,
         "speedup": reference_ms / fast_ms,
     }
 

@@ -145,7 +145,7 @@ class TestSelectionEquivalence:
 
     def test_many_exact_ties_consume_identical_rng(self):
         # All queries report 0 and carry identical batches: every iteration is
-        # a maximal tie, exercising the rng.choice replay in the heap path.
+        # a maximal tie of bit-equal values, already in buffer order.
         def build():
             batches = [
                 Batch(
@@ -185,6 +185,195 @@ class TestSelectionEquivalence:
             BalanceSicConfig(allow_batch_splitting=allow_splitting),
             rng_seed=seed,
         )
+
+
+def make_classed_buffer(num_queries, rates, reported_of):
+    """Queries in rate classes, one 250 ms batch each, as in ``many_queries``.
+
+    A tuple's SIC is ``1 / (rate x 10 s)``, so the queries of one class move
+    through the water-filling in lockstep and stay within rounding error of
+    each other.  ``reported_of(q)`` gives query ``q``'s reported SIC.
+    """
+    batches, reported = [], {}
+    for q in range(num_queries):
+        rate = rates[q % len(rates)]
+        query_id = f"q{q:03d}"
+        reported[query_id] = reported_of(q)
+        tuples = [
+            Tuple(timestamp=i / rate, sic=1.0 / (rate * 10.0), values={})
+            for i in range(int(rate * 0.25))
+        ]
+        batches.append(Batch(query_id, tuples))
+    return batches, reported
+
+
+def flat_batch(query_id, count, sic):
+    return Batch(
+        query_id,
+        [Tuple(timestamp=i * 1e-3, sic=sic, values={}) for i in range(count)],
+    )
+
+
+def draws_made(policy_seed, build, capacity, config=None):
+    """Whether a selection consumed any randomness (i.e. broke a tie)."""
+    batches, reported = build()
+    policy = BalanceSicPolicy(config, rng=random.Random(policy_seed))
+    policy.select(batches, capacity, reported)
+    return policy.rng.getstate() != random.Random(policy_seed).getstate()
+
+
+class TestNearTieEquivalence:
+    """Ties between SICs that differ by less than ``epsilon`` but are not equal.
+
+    These are the ties permanent overload produces (same-class queries end up
+    1e-16 to 1e-13 apart), and the ones where the tie group's value order and
+    its buffer order disagree.
+    """
+
+    RATES = (40.0, 80.0, 120.0)
+
+    @pytest.mark.parametrize("use_projection", [True, False])
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_rate_classes_jittered_against_buffer_order(
+        self, use_projection, rng_seed
+    ):
+        # Later queries of a class sit lower by a sub-epsilon step, so every
+        # tie group sorts by value in the reverse of its buffer order.
+        def reported_of(q):
+            return 0.5 + 4e-4 * (q % 3) + (60 - q) * 3e-15
+
+        def build():
+            return make_classed_buffer(60, self.RATES, reported_of)
+
+        config = BalanceSicConfig(use_projection=use_projection)
+        total = sum(int(r * 0.25) for r in self.RATES) * 20
+        assert draws_made(rng_seed, build, total // 2, config)
+        for capacity in (total // 10, total // 2, total - 1):
+            assert_selection_identical(build, capacity, config, rng_seed=rng_seed)
+
+    @pytest.mark.parametrize("rng_seed", range(8))
+    def test_winner_above_the_group_minimum(self, rng_seed):
+        # a and b are tied; c is outside the group formed around a, but within
+        # epsilon of b.  If b wins, q'' is d, not c.
+        def build():
+            batches = [
+                flat_batch("a", 40, 1e-3),
+                flat_batch("b", 40, 1e-3),
+                flat_batch("c", 40, 1e-3),
+                flat_batch("d", 40, 1e-3),
+            ]
+            reported = {
+                "a": 0.1,
+                "b": 0.1 + 6e-13,
+                "c": 0.1 + 1.4e-12,
+                "d": 0.13,
+                "idle": 0.1 + 1.5e-12,
+            }
+            return batches, reported
+
+        config = BalanceSicConfig(use_projection=False)
+        for capacity in (5, 31, 90, 159):
+            assert_selection_identical(build, capacity, config, rng_seed=rng_seed)
+
+    @pytest.mark.parametrize("tied_pair", [False, True])
+    def test_idle_queries_are_the_only_targets(self, tied_pair):
+        def build():
+            batches = [flat_batch("p", 30, 2e-3), flat_batch("p", 30, 1e-3)]
+            reported = {
+                "p": 0.2,
+                "below": 0.1,
+                "inside": 0.2 + 5e-13,  # in (working, working + eps]: no target
+                "next": 0.22,
+                "last": 0.25,
+            }
+            if tied_pair:
+                batches.append(flat_batch("p2", 60, 1e-3))
+                reported["p2"] = 0.2 + 2e-13
+            return batches, reported
+
+        config = BalanceSicConfig(use_projection=False)
+        for capacity in (4, 10, 29, 45, 59):
+            assert_selection_identical(build, capacity, config, rng_seed=3)
+
+    def test_top_batch_that_does_not_fit_without_splitting(self):
+        # low fills up to mid's level with whole batches; mid's only batch is
+        # larger than what is left, so mid is shed whole and the round ends.
+        def build():
+            batches = [flat_batch("low", 5, 1e-2) for _ in range(3)]
+            batches.append(flat_batch("mid", 50, 1e-3))
+            batches.append(flat_batch("mid2", 50, 1e-3))
+            reported = {"low": 0.0, "mid": 0.08, "mid2": 0.08 + 3e-13}
+            return batches, reported
+
+        config = BalanceSicConfig(
+            allow_batch_splitting=False, use_projection=False
+        )
+        for rng_seed in range(4):
+            assert_selection_identical(build, 30, config, rng_seed=rng_seed)
+        batches, reported = build()
+        decision = BalanceSicPolicy(config, rng=random.Random(0)).select(
+            batches, 30, reported
+        )
+        assert decision.kept_tuples == 10
+        assert decision.shed_tuples == 105
+
+    @pytest.mark.parametrize("rng_seed", range(3))
+    def test_zero_epsilon_ties_only_bit_equal_values(self, rng_seed):
+        # Pairs of queries report bit-equal SICs, pairs of pairs differ by
+        # 1e-15: with epsilon 0 only the former are tied.
+        def reported_of(q):
+            return 0.5 + 4e-4 * (q % 3) + (q // 6) * 1e-15
+
+        def build():
+            return make_classed_buffer(36, self.RATES, reported_of)
+
+        config = BalanceSicConfig(epsilon=0.0, use_projection=False)
+        total = sum(int(r * 0.25) for r in self.RATES) * 12
+        assert draws_made(rng_seed, build, total // 2, config)
+        for capacity in (total // 7, total // 2):
+            assert_selection_identical(build, capacity, config, rng_seed=rng_seed)
+
+    GRID = (0.2, 0.2 + 1.5e-12, 0.25, 0.3)
+
+    @given(
+        queries=st.lists(
+            st.tuples(
+                st.integers(0, 3),  # grid level
+                st.floats(-4e-13, 4e-13),  # sub-epsilon noise
+                # Batches (0: idle query).  At most two: the reference totals
+                # a query's buffered SIC with builtin ``sum``, which Python
+                # 3.12 compensates, so from three addends on it can differ
+                # from the fast path's plain fold in the last bit.
+                st.integers(0, 2),
+                st.integers(1, 12),  # tuples per batch
+                st.sampled_from([1e-3, 2.5e-3, 1e-2]),  # tuple SIC
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        capacity=st.integers(0, 200),
+        allow_splitting=st.booleans(),
+        use_projection=st.booleans(),
+        epsilon=st.sampled_from([1e-12, 0.0]),
+        rng_seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_near_ties_are_the_norm(
+        self, queries, capacity, allow_splitting, use_projection, epsilon, rng_seed
+    ):
+        def build():
+            batches, reported = [], {}
+            for q, (level, noise, count, size, sic) in enumerate(queries):
+                reported[f"q{q}"] = self.GRID[level] + noise
+                batches.extend(flat_batch(f"q{q}", size, sic) for _ in range(count))
+            return batches, reported
+
+        config = BalanceSicConfig(
+            allow_batch_splitting=allow_splitting,
+            use_projection=use_projection,
+            epsilon=epsilon,
+        )
+        assert_selection_identical(build, capacity, config, rng_seed=rng_seed)
 
 
 class TestEstimatorEquivalence:

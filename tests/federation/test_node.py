@@ -81,6 +81,32 @@ class TestOverloadDetection:
         assert result.shed_tuples > 0
         assert result.kept_tuples <= result.capacity
 
+    def test_sic_view_is_built_only_on_rounds_that_shed(self):
+        # Only the shedder reads the view, and building it has no effect a
+        # later round can see: a twin that builds it every round sheds alike.
+        node, twin = make_node(budget=30.0), make_node(budget=30.0)
+        views = []
+        build = node._current_sic_view
+        node._current_sic_view = lambda now: views.append(now) or build(now)
+        for n in (node, twin):
+            n.host_fragment(single_fragment("q1", "src1"))
+            n.host_fragment(single_fragment("q2", "src2"))
+        outcomes = {id(node): [], id(twin): []}
+        for tick, count in enumerate([5, 8, 120, 6, 90]):
+            now = (tick + 1) * 0.25
+            twin._current_sic_view(now)
+            for n in (node, twin):
+                n.enqueue(source_batch("q1", count, "src1", start=tick * 0.25))
+                n.enqueue(source_batch("q2", 2 * count, "src2", start=tick * 0.25))
+                result = n.tick(now=now)
+                outcomes[id(n)].append(
+                    (result.overloaded, result.kept_tuples, result.shed_tuples)
+                )
+        assert [o[0] for o in outcomes[id(node)]] == [False, False, True, False, True]
+        assert views == [0.75, 1.25]
+        assert outcomes[id(node)] == outcomes[id(twin)]
+        assert node._current_sic_view(1.5) == twin._current_sic_view(1.5)
+
     def test_stats_accumulate_over_ticks(self):
         node = make_node(budget=10.0)
         node.host_fragment(single_fragment("q1", "src"))
