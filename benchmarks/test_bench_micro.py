@@ -42,6 +42,7 @@ from repro.perf.microbench import (
     time_runtime,
     time_selection,
     time_sharded,
+    time_source_lane,
     time_tied_selection,
     time_window_insert,
     time_window_insert_v2,
@@ -64,6 +65,11 @@ ESTIMATOR_SPEEDUP_FLOOR = 10.0
 # headroom of the suite, so both sides are measured best-of-2.
 GENERATION_SPEEDUP_FLOOR = 5.0
 WINDOW_SPEEDUP_FLOOR = 4.0
+# The federated ingest unit (one 25-tuple gaussian CpuSource block): finished
+# columns from the block sampler through the unchecked constructor vs the
+# fallback a custom source takes — a `sample()` call per value and the
+# validating constructor (observed ~3.8x: ~10 µs against ~40 µs a block).
+SOURCE_LANE_SPEEDUP_FLOOR = 1.5
 END_TO_END_SPEEDUP_FLOOR = 1.25
 # Columnar v2 floors: numpy backend vs the list-backed fast path on identical
 # paper-scale workloads (observed: window ~4-5x, aggregation ~5-7x, v2
@@ -257,6 +263,24 @@ class TestColumnarBenchmarks:
             f"{speedup:.1f}x over the seed per-tuple reference (floor "
             f"{GENERATION_SPEEDUP_FLOOR}x); fast={fast * 1e3:.1f} ms "
             f"reference={reference * 1e3:.1f} ms"
+        )
+
+    def test_source_lane_stages(self, benchmark):
+        microseconds = benchmark.pedantic(
+            time_source_lane, kwargs={"stage": "network"}, rounds=1, iterations=1
+        )
+        benchmark.extra_info["us_per_block"] = microseconds
+        assert microseconds > 0
+
+    @skip_perf_asserts
+    def test_source_lane_generation_speedup_vs_per_sample_loop(self):
+        fast = best_of(3, time_source_lane, stage="generate")
+        per_sample = best_of(3, time_source_lane, stage="per_sample")
+        speedup = per_sample / fast
+        assert speedup >= SOURCE_LANE_SPEEDUP_FLOOR, (
+            f"gaussian block generation regressed: only {speedup:.1f}x over the "
+            f"per-sample() loop (floor {SOURCE_LANE_SPEEDUP_FLOOR}x); "
+            f"fast={fast:.1f} us/block per_sample={per_sample:.1f} us/block"
         )
 
     def test_window_insert(self, benchmark):

@@ -111,6 +111,9 @@ def build_report(quick: bool = False) -> dict:
     speedups["estimator_ingest"] = round(results["estimator"]["speedup"], 2)
     speedups["generation_sic"] = round(results["generation"]["speedup"], 2)
     speedups["window_insert"] = round(results["window"]["speedup"], 2)
+    # Finished-block gaussian generation vs the per-sample() fallback (the
+    # federated ingest unit): watched by --compare like the other ratios.
+    speedups["source_lane_generate"] = round(results["source_lane"]["speedup"], 2)
     speedups["end_to_end"] = round(results["end_to_end"]["speedup"], 2)
     # Columnar v2 (numpy vs list backend on identical workloads): watched by
     # --compare like every other machine-independent ratio.

@@ -1,11 +1,11 @@
 """Fused NumPy kernels shared by the fragment plan compiler.
 
 These helpers assemble :class:`~repro.core.columns.ColumnBlock` instances via
-the ``_unchecked`` constructor: every array they produce is float64 by
-construction (``np.arange``/``np.zeros``/``np.full`` arithmetic, or boolean
-fancy-indexing of columns that were float64 already), so re-validating and
-re-normalising each column — the per-block cost the fused path exists to
-remove — would be pure overhead.
+the ``_unchecked`` constructor: every array they produce is finished by
+construction (``np.arange``/``np.zeros``/``np.full`` arithmetic, boolean
+fancy-indexing of columns that were normalised already, or columns a source
+declares finished), so re-validating and re-normalising each column — the
+per-block cost the fused path exists to remove — would be pure overhead.
 
 Bit-exactness notes
 -------------------
@@ -29,7 +29,7 @@ import numpy as np
 
 from .columns import ColumnBlock
 
-__all__ = ["build_source_block", "constant_sic_block", "apply_mask"]
+__all__ = ["ConstantColumn", "build_source_block", "constant_sic_block", "apply_mask"]
 
 # Memoized `arange(count) + 0.5` base for the timestamp kernel: generation
 # ticks produce runs of equally-sized blocks (rate × interval, ±1 for the
@@ -48,6 +48,35 @@ def _timestamp_base(count: int) -> "np.ndarray":
     return base
 
 
+class ConstantColumn:
+    """An object column of one repeated value, built once and handed out.
+
+    A monitoring source stamps the same ``id`` on every tuple it ever emits;
+    instead of filling a fresh object array per block, the source keeps one
+    read-only array as long as its largest block so far and every block's
+    column is a prefix view of it.  Sharing is safe because columns are
+    rebind-only (masks gather into new arrays, checkpoints copy), and the
+    array is marked non-writeable so a kernel that breaks that rule raises
+    instead of corrupting every block of the source.
+    """
+
+    __slots__ = ("_value", "_column")
+
+    def __init__(self) -> None:
+        self._value = None
+        self._column = np.empty(0, dtype=object)
+
+    def take(self, value: object, count: int) -> "np.ndarray":
+        column = self._column
+        if len(column) < count or self._value is not value:
+            column = np.empty(count, dtype=object)
+            column.fill(value)
+            column.flags.writeable = False
+            self._value = value
+            self._column = column
+        return column[:count]
+
+
 def build_source_block(
     source_id: Optional[str],
     start: float,
@@ -57,9 +86,10 @@ def build_source_block(
 ) -> ColumnBlock:
     """Assemble a freshly generated source block in one pass.
 
-    ``columns`` must map field names to float64 arrays of length ``count``
-    (the caller — :meth:`StreamSource.generate_block_fused` — verifies this
-    before taking the fast path).
+    ``columns`` must map field names to finished arrays of length ``count``
+    — float64 for value fields, object (e.g. a :class:`ConstantColumn`
+    prefix) for identifiers — as declared by
+    :meth:`StreamSource.payload_columns_fused`; nothing is re-checked here.
     """
     timestamps = start + _timestamp_base(count) * step
     return ColumnBlock._unchecked(timestamps, np.zeros(count), columns, source_id)

@@ -264,8 +264,14 @@ class SourceRateEstimator:
             if n == 0:
                 return
             window = self._window(source_id)
-            horizon = float(timestamps[-1]) - self.stw_seconds
-            keep_from = int(_np.searchsorted(timestamps, horizon, side="left"))
+            # ``item`` reads Python floats, so the horizon and the estimate
+            # below are plain float arithmetic (same IEEE doubles as the
+            # NumPy scalars, without their per-operation dispatch).
+            horizon = timestamps.item(n - 1) - self.stw_seconds
+            if timestamps.item(0) >= horizon:
+                keep_from = 0  # the usual case: a block is far shorter than the STW
+            else:
+                keep_from = int(_np.searchsorted(timestamps, horizon, side="left"))
             window.buckets.append(_RunBucket(timestamps, keep_from, n))
             window.total += n - keep_from
             self._expire_horizon(window, horizon)
@@ -309,8 +315,10 @@ class SourceRateEstimator:
         buckets = window.buckets
         head = buckets[0]
         tail = buckets[-1]
-        head_t = head.timestamps[head.lo] if type(head) is _RunBucket else head[0]
-        tail_t = tail.timestamps[tail.hi - 1] if type(tail) is _RunBucket else tail[0]
+        head_t = head.timestamps.item(head.lo) if type(head) is _RunBucket else head[0]
+        tail_t = (
+            tail.timestamps.item(tail.hi - 1) if type(tail) is _RunBucket else tail[0]
+        )
         span = tail_t - head_t
         if observed >= 2 and span > 0:
             # Scale the partially observed window up to a full STW; once a
@@ -407,11 +415,11 @@ class SourceRateEstimator:
             head = buckets[0]
             if type(head) is _RunBucket:
                 timestamps = head.timestamps
-                if timestamps[head.hi - 1] < horizon:
+                if timestamps.item(head.hi - 1) < horizon:
                     window.total -= head.hi - head.lo
                     buckets.popleft()
                     continue
-                if timestamps[head.lo] < horizon:
+                if timestamps.item(head.lo) < horizon:
                     new_lo = head.lo + int(
                         _np.searchsorted(
                             timestamps[head.lo:head.hi], horizon, side="left"

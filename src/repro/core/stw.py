@@ -60,7 +60,11 @@ class ResultSicTracker:
     def __init__(self, query_id: str, config: StwConfig) -> None:
         self.query_id = query_id
         self.config = config
-        self._events: Deque[PyTuple[float, float]] = deque()
+        # The window as two parallel deques — event times and their SIC —
+        # so a reading sums the SIC deque directly (same floats, same
+        # left-to-right order) instead of unpacking pairs per element.
+        self._times: Deque[float] = deque()
+        self._sics: Deque[float] = deque()
         self._first_event_time: Optional[float] = None
         self._history: List[PyTuple[float, float]] = []
 
@@ -70,7 +74,8 @@ class ResultSicTracker:
             raise ValueError(f"sic must be non-negative, got {sic}")
         if self._first_event_time is None:
             self._first_event_time = timestamp
-        self._events.append((timestamp, sic))
+        self._times.append(timestamp)
+        self._sics.append(sic)
 
     def record_batch(self, batch: Batch) -> None:
         """Record all tuples of a result batch."""
@@ -80,7 +85,7 @@ class ResultSicTracker:
     def current_sic(self, now: float) -> float:
         """Return the query result SIC over the STW ending at ``now``."""
         self._expire(now)
-        total = sum(sic for _, sic in self._events)
+        total = sum(self._sics)
         coverage = self._coverage(now)
         if coverage <= 0.0:
             return 0.0
@@ -99,7 +104,7 @@ class ResultSicTracker:
 
     def window_event_count(self) -> int:
         """Unexpired events in the sliding window (memwatch probe)."""
-        return len(self._events)
+        return len(self._times)
 
     def history_size(self) -> int:
         """Snapshot samples retained so far (memwatch probe; grows linearly
@@ -136,15 +141,17 @@ class ResultSicTracker:
 
     def _expire(self, now: float) -> None:
         horizon = now - self.config.stw_seconds
-        while self._events and self._events[0][0] <= horizon:
-            self._events.popleft()
+        times = self._times
+        while times and times[0] <= horizon:
+            times.popleft()
+            self._sics.popleft()
 
     # ------------------------------------------------------ checkpoint/restore
     def snapshot_state(self) -> Dict[str, object]:
         """Serialise the tracker: unexpired events, first-event anchor, history."""
         return {
             "query_id": self.query_id,
-            "events": [list(event) for event in self._events],
+            "events": [list(event) for event in zip(self._times, self._sics)],
             "first_event_time": self._first_event_time,
             "history": [list(sample) for sample in self._history],
         }
@@ -156,7 +163,8 @@ class ResultSicTracker:
                 f"tracker checkpoint for query {state['query_id']!r} does not "
                 f"match {self.query_id!r}"
             )
-        self._events = deque((t, sic) for t, sic in state["events"])
+        self._times = deque(t for t, _ in state["events"])
+        self._sics = deque(sic for _, sic in state["events"])
         self._first_event_time = state["first_event_time"]
         self._history = [(t, value) for t, value in state["history"]]
 

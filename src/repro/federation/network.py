@@ -35,8 +35,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple as PyTuple
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple as PyTuple,
+)
 
 from ..core.tuples import Batch
 
@@ -353,8 +362,14 @@ class _PendingSend:
         self.rto = rto
 
 
-@dataclass(order=True)
-class _InFlight:
+class _InFlight(NamedTuple):
+    """One in-flight queue entry, ordered by ``(deliver_at, sequence)``.
+
+    A plain tuple so the heaps order entries by C tuple comparison.
+    ``sequence`` is unique per network, so a comparison is always decided
+    within the first two elements and never reaches the message.
+    """
+
     deliver_at: float
     # Tie-break for equal delivery times.  A plain int from the network's
     # monotonic counter by default (global transmit order); when a
@@ -365,12 +380,14 @@ class _InFlight:
     # wall-clock terms.  A run uses one shape throughout, so comparisons
     # never mix int with tuple.
     sequence: object
-    message: Optional[Message] = field(compare=False)
+    message: Optional[Message]
     # Reliable-channel routing of a payload copy (None for best-effort).
-    link: Optional[Link] = field(compare=False, default=None)
-    seq: Optional[int] = field(compare=False, default=None)
+    link: Optional[Link] = None
+    seq: Optional[int] = None
     # Internal control entry (retransmission timer); message is None.
-    control: Optional[PyTuple[str, Link, int]] = field(compare=False, default=None)
+    control: Optional[PyTuple[str, Link, int]] = None
+    # ``message.size_bytes()``, computed once at send time (0 for control).
+    size: int = 0
 
 
 class Network:
@@ -447,8 +464,9 @@ class Network:
     def send(self, message: Message, sent_at: float, source: str) -> float:
         """Enqueue ``message`` and return its nominal delivery time."""
         kind = message.kind
+        size = message.size_bytes()
         self.sent_messages += 1
-        self.bytes_sent += message.size_bytes()
+        self.bytes_sent += size
         self.stats._bump(self.stats.sent, kind)
         batch = getattr(message, "batch", None)
         if batch is not None:
@@ -456,7 +474,7 @@ class Network:
         latency = self.latency_model.latency(source, message.destination)
         deliver_at = sent_at + latency
         if self.reliability is None or kind not in self.RELIABLE_KINDS:
-            self._transmit(message, source, sent_at)
+            self._transmit(message, source, sent_at, latency, size)
             return deliver_at
         link = (source, message.destination)
         if kind == "result":
@@ -478,7 +496,7 @@ class Network:
         rtt = latency + self.latency_model.latency(message.destination, source)
         rto = max(self.reliability.min_rto_seconds, rtt * self.reliability.rto_rtt_multiplier)
         pending[seq] = _PendingSend(message, source, rto)
-        self._transmit(message, source, sent_at, link=link, seq=seq)
+        self._transmit(message, source, sent_at, latency, size, link, seq)
         self._push_control(("rtx", link, seq), sent_at + rto)
         return deliver_at
 
@@ -487,15 +505,21 @@ class Network:
         message: Message,
         source: str,
         sent_at: float,
+        latency: float,
+        size: int,
         link: Optional[Link] = None,
         seq: Optional[int] = None,
     ) -> None:
-        """Put one physical copy of ``message`` on the wire (or drop it)."""
+        """Put one physical copy of ``message`` on the wire (or drop it).
+
+        ``latency`` and ``size`` are the link latency from ``source`` to the
+        message's destination and ``message.size_bytes()``; callers look them
+        up once and every copy reuses them.
+        """
         destination = message.destination
         if source in self.dead_endpoints or destination in self.dead_endpoints:
             self.stats._bump(self.stats.dropped, message.kind)
             return
-        latency = self.latency_model.latency(source, destination)
         if self.fault_policy is not None:
             times = self.fault_policy(message, source, destination, sent_at, latency)
         else:
@@ -504,9 +528,11 @@ class Network:
             self.stats._bump(self.stats.dropped, message.kind)
             return
         for deliver_at in times:
-            self.stats.bytes_wire += message.size_bytes()
+            self.stats.bytes_wire += size
             self._enqueue(
-                _InFlight(deliver_at, self._next_sequence(), message, link, seq)
+                _InFlight(
+                    deliver_at, self._next_sequence(), message, link, seq, None, size
+                )
             )
             if self.send_listener is not None:
                 self.send_listener(message, deliver_at)
@@ -537,7 +563,8 @@ class Network:
         # to the same faults as any other transmission.
         self.stats.acks_sent += 1
         ack = AckMessage(destination=link[0], link=link, seq=seq)
-        self._transmit(ack, link[1], now)
+        latency = self.latency_model.latency(link[1], link[0])
+        self._transmit(ack, link[1], now, latency, ack.size_bytes())
 
     def _expire(self, message: Message) -> None:
         self.stats._bump(self.stats.expired, message.kind)
@@ -597,7 +624,7 @@ class Network:
             # the same sequence a single queue would have produced.
             ready: List[_InFlight] = []
             for queue in self._shard_queues:
-                while queue and queue[0].deliver_at <= now:
+                while queue and queue[0][0] <= now:
                     ready.append(heapq.heappop(queue))
             ready.sort()
             for entry in ready:
@@ -620,9 +647,8 @@ class Network:
     def _drain_heap(
         self, queue: List[_InFlight], now: float, due: List[Message]
     ) -> None:
-        while queue and queue[0].deliver_at <= now:
-            entry = heapq.heappop(queue)
-            self._process_entry(entry, now, due)
+        while queue and queue[0][0] <= now:
+            self._process_entry(heapq.heappop(queue), now, due)
 
     def _process_entry(self, entry: _InFlight, now: float, due: List[Message]) -> None:
         prev_ctx = self.delivery_context
@@ -640,21 +666,19 @@ class Network:
                 return
             if entry.link is None:
                 due.append(message)
-                self._count_delivered(message)
+                self._count_delivered(message, entry.size)
                 return
-            self._receive_reliable(entry.link, entry.seq, message, now, due)
+            self._receive_reliable(entry, now, due)
         finally:
             self.delivery_context = prev_ctx
 
     def _receive_reliable(
-        self,
-        link: Link,
-        seq: int,
-        message: Message,
-        now: float,
-        due: List[Message],
+        self, entry: _InFlight, now: float, due: List[Message]
     ) -> None:
         """Ack, deduplicate and in-order-release one reliable payload copy."""
+        link = entry.link
+        seq = entry.seq
+        message = entry.message
         expected = self._recv_next.get(link, 0)
         # Always ack what arrived — a duplicate usually means the previous
         # ack was lost, so the sender still needs one.
@@ -671,14 +695,14 @@ class Network:
             return
         # seq == expected: release it plus any contiguous buffered run.
         due.append(message)
-        self._count_delivered(message)
+        self._count_delivered(message, entry.size)
         nxt = expected + 1
         buffer = self._recv_buffer.get(link)
         if buffer:
             while nxt in buffer:
                 held = buffer.pop(nxt)
                 due.append(held)
-                self._count_delivered(held)
+                self._count_delivered(held, held.size_bytes())
                 nxt += 1
         self._recv_next[link] = nxt
 
@@ -694,17 +718,21 @@ class Network:
             self._expire(pending.message)
             return
         self.stats._bump(self.stats.retransmits, pending.message.kind)
-        self._transmit(pending.message, pending.source, now, link=link, seq=seq)
+        message = pending.message
+        latency = self.latency_model.latency(pending.source, message.destination)
+        self._transmit(
+            message, pending.source, now, latency, message.size_bytes(), link, seq
+        )
         pending.rto = min(
             self.reliability.max_rto_seconds,
             pending.rto * self.reliability.backoff_factor,
         )
         self._push_control(("rtx", link, seq), now + pending.rto)
 
-    def _count_delivered(self, message: Message) -> None:
+    def _count_delivered(self, message: Message, size: int) -> None:
         kind = message.kind
         self.stats._bump(self.stats.delivered, kind)
-        self.bytes_delivered += message.size_bytes()
+        self.bytes_delivered += size
         batch = getattr(message, "batch", None)
         if batch is not None:
             self.stats._bump(self.stats.tuples_delivered, kind, len(batch))
@@ -719,9 +747,9 @@ class Network:
     def next_delivery_time(self) -> Optional[float]:
         times = []
         if self._queue:
-            times.append(self._queue[0].deliver_at)
+            times.append(self._queue[0][0])
         if self._shard_queues is not None:
-            times.extend(q[0].deliver_at for q in self._shard_queues if q)
+            times.extend(q[0][0] for q in self._shard_queues if q)
         if not times:
             return None
         return min(times)

@@ -41,6 +41,7 @@ __all__ = [
     "time_estimator_ingest",
     "time_node_ticks",
     "time_generation_sic",
+    "time_source_lane",
     "time_window_insert",
     "time_window_insert_v2",
     "time_aggregate_v2",
@@ -88,6 +89,11 @@ END_TO_END_QUERIES = 50
 END_TO_END_RATE = 400.0
 END_TO_END_DURATION = 6.0
 END_TO_END_WARMUP = 1.0
+# Source-lane kernel: the `federation` workload's ingest unit — a gaussian
+# CpuSource at 100 t/s emitting one 25-tuple block per 250 ms interval.
+SOURCE_LANE_RATE = 100.0
+SOURCE_LANE_BLOCKS = 2000
+SOURCE_LANE_STAGES = ("per_sample", "generate", "assign", "network")
 GENERATION_SOURCES = 8
 GENERATION_TICKS = 100
 GENERATION_RATE = 2000.0
@@ -396,6 +402,79 @@ def time_generation_sic(
         name = "generation.reference" if use_reference else "generation.fast"
         registry.record(name, sw.elapsed_seconds)
     return sw.elapsed_seconds
+
+
+def time_source_lane(
+    stage: str = "generate",
+    blocks: int = SOURCE_LANE_BLOCKS,
+    registry: Optional[PerfRegistry] = None,
+) -> float:
+    """Microseconds per 25-tuple gaussian ``CpuSource`` block, by lane stage.
+
+    Stages are cumulative: ``"generate"`` is ``generate_block_fused`` alone
+    (block sampler, finished columns, unchecked constructor); ``"assign"``
+    adds ``SicAssigner.assign_block``; ``"network"`` adds
+    ``Batch.from_block``, ``Network.send`` over a reliable 50 ms link and the
+    deliveries (payload, ack, retransmission timer) as they fall due.
+    ``"per_sample"`` is the generation baseline: the same payload from a
+    source that declares nothing — one ``sample()`` call per value through
+    ``payload_builder`` and the validating block constructor.
+    """
+    from ..federation.network import (
+        DataMessage,
+        Network,
+        ReliabilityConfig,
+        UniformLatency,
+    )
+    from ..workloads.datasets import make_dataset
+    from ..workloads.sources import CpuSource, StreamSource
+
+    if stage not in SOURCE_LANE_STAGES:
+        raise ValueError(f"stage must be one of {SOURCE_LANE_STAGES}, got {stage!r}")
+    interval = 0.25
+    if stage == "per_sample":
+        distribution = make_dataset("gaussian", seed=1)
+        source = StreamSource(
+            "cpu0",
+            rate=SOURCE_LANE_RATE,
+            payload_builder=lambda: {"id": "m0", "value": distribution.sample()},
+        )
+    else:
+        source = CpuSource(
+            "cpu0", monitored_id="m0", rate=SOURCE_LANE_RATE, dataset="gaussian", seed=1
+        )
+    assigner = SicAssigner(
+        "bench-q", 4, stw_seconds=10.0, nominal_rates={"cpu0": SOURCE_LANE_RATE}
+    )
+    network = Network(UniformLatency(0.05), reliability=ReliabilityConfig())
+    with_assign = stage in ("assign", "network")
+    with_network = stage == "network"
+    emitted = 0
+    with use_backend("numpy"), Stopwatch() as sw:
+        for tick in range(blocks):
+            start = tick * interval
+            end = start + interval
+            block = source.generate_block_fused(start, end)
+            emitted += len(block)
+            if not with_assign:
+                continue
+            assigner.assign_block(block)
+            if not with_network:
+                continue
+            batch = Batch.from_block("bench-q", block, created_at=end, fragment_id="f")
+            message = DataMessage(destination="n0", batch=batch, target_fragment_id="f")
+            network.send(message, sent_at=end, source="cpu0")
+            due = network.next_delivery_time()
+            while due is not None and due <= end:
+                network.deliver_due(due)
+                due = network.next_delivery_time()
+    assert emitted == blocks * int(SOURCE_LANE_RATE * interval)
+    if with_network:
+        assert network.stats.retransmits == {} and network.delivered_messages >= blocks - 1
+    microseconds = sw.elapsed_seconds / blocks * 1e6
+    if registry is not None:
+        registry.record(f"source_lane.{stage}", sw.elapsed_seconds)
+    return microseconds
 
 
 def time_window_insert(
@@ -1143,6 +1222,24 @@ def run_microbench(
         "fast_ms": gen_fast,
         "reference_ms": gen_reference,
         "speedup": gen_reference / gen_fast,
+    }
+
+    # The federated ingest unit, stage by stage (µs per 25-tuple block,
+    # best-of-3); the gated ratio is finished-block generation against the
+    # per-`sample()` fallback every custom source still takes.
+    lane = {
+        stage: min(time_source_lane(stage, registry=registry) for _ in range(3))
+        for stage in SOURCE_LANE_STAGES
+    }
+    results["source_lane"] = {
+        "dataset": "gaussian",
+        "tuples_per_block": int(SOURCE_LANE_RATE * 0.25),
+        "blocks": SOURCE_LANE_BLOCKS,
+        "per_sample_generate_us": lane["per_sample"],
+        "generate_us": lane["generate"],
+        "generate_assign_us": lane["assign"],
+        "generate_assign_network_us": lane["network"],
+        "speedup": lane["per_sample"] / lane["generate"],
     }
 
     win_fast = (

@@ -1,13 +1,15 @@
 """Deterministic discrete-event scheduler.
 
 The event runtime replaces the lockstep ``FederatedSystem.tick()`` loop with a
-heap of ``(time, priority, seq)``-ordered events: source generation rounds,
+heap of ``(time, priority, seq, event)`` entries: source generation rounds,
 network deliveries, per-node shedding rounds and per-query coordinator rounds
 are all independently scheduled.  Determinism is the design constraint — the
 differential tests assert that a seeded event-driven run with homogeneous
 intervals is *result-identical* to the lockstep loop — so ties are broken
 first by an explicit phase priority (mirroring the phase order inside one
-lockstep tick) and then by scheduling order.
+lockstep tick) and then by scheduling order.  Heap entries are plain tuples,
+so every sift compares in C, and ``seq`` is unique per scheduler, so a
+comparison is decided before it reaches the event object.
 
 The scheduler knows nothing about the federation; it stores opaque callbacks.
 Cancellation is lazy: :meth:`ScheduledEvent.cancel` marks the event and the
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 __all__ = [
     "EventScheduler",
@@ -87,16 +89,13 @@ class ScheduledEvent:
             if self._scheduler is not None:
                 self._scheduler._note_cancelled()
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"ScheduledEvent(t={self.time}, p={self.priority}{state})"
+
+
+# One heap slot: the unique ``(time, priority, seq)`` key, then the handle.
+_HeapEntry = Tuple[float, int, int, ScheduledEvent]
 
 
 class EventScheduler:
@@ -108,7 +107,7 @@ class EventScheduler:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self, start: float = 0.0) -> None:
-        self._heap: List[ScheduledEvent] = []
+        self._heap: List[_HeapEntry] = []
         self._seq = itertools.count()
         self.now = float(start)
         # Priority of the event currently being processed (None outside
@@ -133,8 +132,9 @@ class EventScheduler:
             raise ValueError(
                 f"cannot schedule event at {time} before current time {self.now}"
             )
-        event = ScheduledEvent(time, priority, next(self._seq), fn, self)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = ScheduledEvent(time, priority, seq, fn, self)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     # --------------------------------------------------------------- compaction
@@ -145,9 +145,9 @@ class EventScheduler:
     def _maybe_compact(self) -> None:
         """Drop cancelled entries once they outnumber the live ones.
 
-        ``heapify`` over the surviving events preserves the full
-        ``(time, priority, seq)`` order — the total order lives on the
-        events, not on heap positions — so compaction is invisible to the
+        ``heapify`` over the surviving entries preserves the full
+        ``(time, priority, seq)`` order — the total order lives in the
+        entries, not on heap positions — so compaction is invisible to the
         run loop (asserted in ``tests/runtime/test_scheduler.py``).
         """
         cancelled = self._cancelled
@@ -158,7 +158,7 @@ class EventScheduler:
         # In place: run_until holds a reference to the heap list across event
         # callbacks (which may cancel events), so the list object must stay.
         heap = self._heap
-        heap[:] = [event for event in heap if not event.cancelled]
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
         heapq.heapify(heap)
         self._cancelled = 0
         self.compactions += 1
@@ -174,8 +174,8 @@ class EventScheduler:
         """
         heap = self._heap
         processed = 0
-        while heap and heap[0].time <= end:
-            event = heapq.heappop(heap)
+        while heap and heap[0][0] <= end:
+            event = heapq.heappop(heap)[3]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -205,8 +205,8 @@ class EventScheduler:
         """
         heap = self._heap
         processed = 0
-        while heap and heap[0].time < end:
-            event = heapq.heappop(heap)
+        while heap and heap[0][0] < end:
+            event = heapq.heappop(heap)[3]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -238,8 +238,8 @@ class EventScheduler:
             )
         heap = self._heap
         processed = 0
-        while heap and heap[0].time == time and heap[0].priority <= priority:
-            event = heapq.heappop(heap)
+        while heap and heap[0][0] == time and heap[0][1] <= priority:
+            event = heapq.heappop(heap)[3]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -265,12 +265,9 @@ class EventScheduler:
 
     def peek_instant(self, time: float, priority: int) -> Optional[ScheduledEvent]:
         """The next pending event at exactly ``(time, priority)``, unpopped."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        if heap and heap[0].time == time and heap[0].priority == priority:
-            return heap[0]
+        heap = self._drop_cancelled_head()
+        if heap and heap[0][0] == time and heap[0][1] == priority:
+            return heap[0][3]
         return None
 
     def run_one(self, time: float, priority: int) -> None:
@@ -281,7 +278,7 @@ class EventScheduler:
         sharded runtime's rank-merged barrier phases, which pick the next
         event across several schedulers before running it.
         """
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)[3]
         assert (
             not event.cancelled
             and event.time == time
@@ -295,22 +292,25 @@ class EventScheduler:
             self.current_priority = None
         self.processed_events += 1
 
-    def has_events_at(self, time: float, priority: int) -> bool:
-        """True if a pending event sits at exactly ``(time, priority)``."""
+    def _drop_cancelled_head(self) -> List[_HeapEntry]:
+        """Pop cancelled entries off the top; returns the heap."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
             self._cancelled -= 1
-        return bool(heap) and heap[0].time == time and heap[0].priority == priority
+        return heap
+
+    def has_events_at(self, time: float, priority: int) -> bool:
+        """True if a pending event sits at exactly ``(time, priority)``."""
+        heap = self._drop_cancelled_head()
+        return bool(heap) and heap[0][0] == time and heap[0][1] == priority
 
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest pending (non-cancelled) event, if any."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-            self._cancelled -= 1
-        if not self._heap:
+        heap = self._drop_cancelled_head()
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def pending_events(self) -> int:
         """Number of scheduled, not-yet-cancelled events."""

@@ -122,6 +122,7 @@ def entry_to_wire(entry: _InFlight) -> Dict[str, Any]:
         "link": None if entry.link is None else tuple(entry.link),
         "seq": entry.seq,
         "control": entry.control,
+        "size": entry.size,
     }
 
 
@@ -135,6 +136,7 @@ def entry_from_wire(state: Dict[str, Any]) -> _InFlight:
         link=None if link is None else tuple(link),
         seq=state["seq"],
         control=state["control"],
+        size=state["size"],
     )
 
 

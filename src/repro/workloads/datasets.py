@@ -15,7 +15,8 @@ correlated free-memory series.  See DESIGN.md ("Substitutions").
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from math import cos, log, pi, sin, sqrt
+from typing import List, Optional, Tuple
 
 try:  # Guarded: the list columnar backend works without NumPy.
     import numpy as np
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 DATASET_NAMES = ("gaussian", "uniform", "exponential", "mixed", "planetlab")
+
+# ``random.gauss`` written out (see ``GaussianValues.sample_many``) multiplies
+# the first uniform draw by the stdlib's own ``TWOPI = 2.0 * pi``.
+_TWOPI = 2.0 * pi
 
 
 class ValueDistribution:
@@ -59,6 +64,16 @@ class ValueDistribution:
         sample = self.sample
         return [sample() for _ in range(count)]
 
+    def sample_array(self, count: int):
+        """:meth:`sample_many` as a finished ``float64`` column.
+
+        The hand-off of the ingest lane: sources pass the array straight to
+        the unchecked block constructor, so a distribution must yield Python
+        floats (the ``sample() -> float`` contract) — the conversion is exact
+        for floats and is *not* re-validated downstream.
+        """
+        return np.asarray(self.sample_many(count), dtype=np.float64)
+
 
 class GaussianValues(ValueDistribution):
     """Gaussian values with mean 50 (clipped at zero)."""
@@ -74,12 +89,36 @@ class GaussianValues(ValueDistribution):
         return max(0.0, self.rng.gauss(self.mean, self.std))
 
     def sample_many(self, count: int) -> List[float]:
-        # Same draws as `count` sample() calls with the per-call dispatch
-        # hoisted out of the loop.
-        gauss = self.rng.gauss
+        # ``random.gauss`` written out: Box-Muller turns two ``random()``
+        # draws into a cos/sin pair, returns the first and parks the second
+        # in ``rng.gauss_next``.  The loop below makes the same draws and the
+        # same ``math`` calls in the same order and carries ``gauss_next`` in
+        # and out, so values and ``rng.getstate()`` are bit-identical to
+        # ``count`` ``sample()`` calls — without a Python call per value.
+        if count <= 0:
+            return []
+        rng = self.rng
+        random = rng.random
         mean = self.mean
         std = self.std
-        return [max(0.0, gauss(mean, std)) for _ in range(count)]
+        values: List[float] = []
+        append = values.append
+        z = rng.gauss_next
+        if z is not None:
+            append(mean + z * std)
+        for _ in range((count - len(values) + 1) >> 1):
+            x2pi = random() * _TWOPI
+            g2rad = sqrt(-2.0 * log(1.0 - random()))
+            append(mean + cos(x2pi) * g2rad * std)
+            z = sin(x2pi) * g2rad
+            append(mean + z * std)
+        if len(values) > count:
+            # Odd demand: the last sin variate stays parked, as in the stdlib.
+            values.pop()
+            rng.gauss_next = z
+        else:
+            rng.gauss_next = None
+        return [value if value > 0.0 else 0.0 for value in values]
 
 
 class UniformValues(ValueDistribution):
@@ -167,9 +206,10 @@ class ExponentialValues(ValueDistribution):
         return self.rng.expovariate(1.0 / self.mean)
 
     def sample_many(self, count: int) -> List[float]:
-        expovariate = self.rng.expovariate
+        # random.expovariate(lambd) is exactly `-log(1.0 - random()) / lambd`.
+        random = self.rng.random
         lambd = 1.0 / self.mean
-        return [expovariate(lambd) for _ in range(count)]
+        return [-log(1.0 - random()) / lambd for _ in range(count)]
 
 
 class MixedValues(ValueDistribution):
@@ -241,6 +281,70 @@ class PlanetLabLikeValues(ValueDistribution):
         """A correlated free-memory figure (KB): busier nodes have less free memory."""
         base = 2_000_000.0 * (1.0 - 0.6 * cpu_value / 100.0)
         return max(10_000.0, base + self.rng.gauss(0.0, 100_000.0))
+
+    def sample_many(self, count: int) -> List[float]:
+        return self._walk(count, False)[0]
+
+    def memory_free_many(self, count: int) -> List[float]:
+        """``[memory_free_kb(sample()) for _ in range(count)]`` in one loop."""
+        return self._walk(count, True)[1]
+
+    def _walk(self, count: int, with_memory: bool) -> Tuple[List[float], List[float]]:
+        """``count`` steps of the utilisation walk, optionally with memory.
+
+        The block form of :meth:`sample` (and of :meth:`memory_free_kb` on
+        each sample): the same draws in the same order with the per-sample
+        dispatch hoisted and ``random.gauss`` written out as in
+        :meth:`GaussianValues.sample_many` — ``z`` is ``rng.gauss_next``
+        carried in a local.  The rare regime-shift and burst draws keep their
+        stdlib calls (neither touches ``gauss_next``).
+        """
+        rng = self.rng
+        random = rng.random
+        shift_probability = self.level_shift_probability
+        burst_probability = self.burst_probability
+        correlation = self.correlation
+        level_weight = 1.0 - correlation
+        level = self._level
+        value = self._value
+        cpu: List[float] = []
+        free: List[float] = []
+        z = rng.gauss_next
+        rng.gauss_next = None
+        for _ in range(count):
+            if random() < shift_probability:
+                level = min(100.0, rng.expovariate(1.0 / 25.0))
+            if z is None:
+                x2pi = random() * _TWOPI
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                noise = 0.0 + cos(x2pi) * g2rad * 5.0
+                z = sin(x2pi) * g2rad
+            else:
+                noise = 0.0 + z * 5.0
+                z = None
+            value = correlation * value + level_weight * level + noise
+            if random() < burst_probability:
+                value = rng.uniform(80.0, 100.0)
+            if not value > 0.0:
+                value = 0.0
+            elif not value < 100.0:
+                value = 100.0
+            cpu.append(value)
+            if with_memory:
+                if z is None:
+                    x2pi = random() * _TWOPI
+                    g2rad = sqrt(-2.0 * log(1.0 - random()))
+                    noise = 0.0 + cos(x2pi) * g2rad * 100_000.0
+                    z = sin(x2pi) * g2rad
+                else:
+                    noise = 0.0 + z * 100_000.0
+                    z = None
+                kb = 2_000_000.0 * (1.0 - 0.6 * value / 100.0) + noise
+                free.append(kb if kb > 10_000.0 else 10_000.0)
+        rng.gauss_next = z
+        self._level = level
+        self._value = value
+        return cpu, free
 
 
 def make_dataset(name: str, seed: Optional[int] = 0) -> ValueDistribution:

@@ -28,7 +28,7 @@ try:  # Guarded: the list columnar backend works without NumPy.
 except ImportError:  # pragma: no cover - exercised only on stripped installs
     np = None
 if np is not None:
-    from ..core.kernels import build_source_block
+    from ..core.kernels import ConstantColumn, build_source_block
 from .datasets import PlanetLabLikeValues, ValueDistribution, make_dataset
 
 __all__ = [
@@ -129,12 +129,13 @@ class StreamSource:
         """Fused :meth:`generate_block`: same output, assembled in one pass.
 
         When the numpy backend is active and :meth:`payload_columns_fused`
-        hands back ready-made float64 arrays, the block is built through the
-        unchecked constructor — skipping the per-value float scan that
-        payload normalization otherwise performs on every generated column.
-        Falls back to :meth:`generate_block` (without consuming any RNG
-        draws or rate carry) in every other case, so the emitted stream is
-        bit-identical either way.
+        hands back finished columns, the block is built through the
+        unchecked constructor — skipping the per-value scan that payload
+        normalization otherwise performs on every generated column.  A
+        source that declares nothing goes through the validating
+        constructor, and the list backend through :meth:`generate_block`
+        (without consuming any RNG draws or rate carry), so the emitted
+        stream is bit-identical either way.
         """
         if np is None or get_default_backend() != "numpy":
             return self.generate_block(start, end)
@@ -143,30 +144,27 @@ class StreamSource:
             return None
         step = (end - start) / count
         columns = self.payload_columns_fused(count)
-        fast = columns is not None and all(
-            isinstance(column, np.ndarray) and column.dtype == np.float64
-            for column in columns.values()
-        )
-        if columns is None:
-            columns = self.payload_columns(count)
         self.emitted_tuples += count
-        if fast:
+        if columns is not None:
             return build_source_block(self.source_id, start, step, count, columns)
         timestamps = start + (np.arange(count) + 0.5) * step
         return ColumnBlock(
             timestamps=timestamps,
             sics=np.zeros(count),
-            values=columns,
+            values=self.payload_columns(count),
             source_id=self.source_id,
         )
 
     def payload_columns_fused(self, count: int) -> Optional[Dict[str, object]]:
-        """Payload columns as ready-made float64 arrays, or ``None``.
+        """Finished payload columns for ``count`` tuples, or ``None``.
 
-        Sources whose distributions can draw vectorized (same RNG stream,
-        bit-exact values — e.g. :meth:`UniformValues.sample_array`) override
-        this; the default opts out and :meth:`generate_block_fused` falls
-        back to the scalar :meth:`payload_columns` draw.
+        "Finished" is the representation the validating constructor would
+        have produced from :meth:`payload_columns`: a ``float64`` array for
+        a field of Python floats, an ``object`` array otherwise, each of
+        length ``count`` and drawn from the same RNG stream.  Nothing
+        re-checks them, so only sources that build their columns that way by
+        construction (the built-in ones below) override this; the default
+        declares nothing.
         """
         return None
 
@@ -224,13 +222,7 @@ class ValueSource(StreamSource):
         return {"v": self.distribution.sample_many(count)}
 
     def payload_columns_fused(self, count: int) -> Optional[Dict[str, object]]:
-        sample_array = getattr(self.distribution, "sample_array", None)
-        if sample_array is None:
-            return None
-        column = sample_array(count)
-        if column is None:  # distribution cannot vectorize (e.g. no NumPy)
-            return None
-        return {"v": column}
+        return {"v": self.distribution.sample_array(count)}
 
 
 class CpuSource(StreamSource):
@@ -247,6 +239,7 @@ class CpuSource(StreamSource):
     ) -> None:
         self.monitored_id = monitored_id
         self.distribution = distribution or make_dataset(dataset, seed=seed)
+        self._id_column = ConstantColumn() if np is not None else None
         super().__init__(
             source_id=source_id,
             rate=rate,
@@ -261,6 +254,12 @@ class CpuSource(StreamSource):
         return {
             "id": [self.monitored_id] * count,
             "value": self.distribution.sample_many(count),
+        }
+
+    def payload_columns_fused(self, count: int) -> Optional[Dict[str, object]]:
+        return {
+            "id": self._id_column.take(self.monitored_id, count),
+            "value": self.distribution.sample_array(count),
         }
 
 
@@ -283,6 +282,7 @@ class MemorySource(StreamSource):
             if isinstance(self.distribution, PlanetLabLikeValues)
             else None
         )
+        self._id_column = ConstantColumn() if np is not None else None
         super().__init__(
             source_id=source_id,
             rate=rate,
@@ -302,16 +302,31 @@ class MemorySource(StreamSource):
 
     def payload_columns(self, count: int) -> Dict[str, List[object]]:
         # The PlanetLab path interleaves two draws per tuple (utilisation
-        # sample, then the correlated memory noise), so the loop must stay
-        # per-tuple to preserve the RNG stream; only the dispatch is hoisted.
-        sample = self.distribution.sample
-        planetlab = self._planetlab
-        if planetlab is not None:
-            memory_free_kb = planetlab.memory_free_kb
-            free = [memory_free_kb(sample()) for _ in range(count)]
+        # sample, then the correlated memory noise) on one RNG, so the
+        # distribution walks both in a single loop; the generic path scales
+        # a plain block draw.
+        if self._planetlab is not None:
+            free = self._planetlab.memory_free_many(count)
         else:
-            free = [50_000.0 + sample() * 20_000.0 for _ in range(count)]
+            free = [
+                50_000.0 + value * 20_000.0
+                for value in self.distribution.sample_many(count)
+            ]
         return {"id": [self.monitored_id] * count, "free": free}
+
+    def payload_columns_fused(self, count: int) -> Optional[Dict[str, object]]:
+        if self._planetlab is not None:
+            free = np.asarray(
+                self._planetlab.memory_free_many(count), dtype=np.float64
+            )
+        else:
+            # Element-wise float64 multiply-then-add: the exact per-value
+            # arithmetic of the list comprehension above.
+            free = 50_000.0 + self.distribution.sample_array(count) * 20_000.0
+        return {
+            "id": self._id_column.take(self.monitored_id, count),
+            "free": free,
+        }
 
 
 class BurstySource:

@@ -55,6 +55,46 @@ class TestResultSicTracker:
         tracker.record_result(timestamp=2.0, sic=0.1)
         assert tracker.current_sic(now=2.0) > 0.5
 
+    def test_reading_is_the_left_to_right_sum_of_the_window_bit_for_bit(self):
+        # The window is summed straight off a SIC-only deque; the value must
+        # equal the old per-pair generator sum over the same events in the
+        # same order, through record / expire / checkpoint-restore churn.
+        import random
+
+        rng = random.Random(12)
+        config = StwConfig(stw_seconds=2.0, slide_seconds=0.25)
+        tracker = ResultSicTracker("q", config)
+        events = []  # the oracle's (timestamp, sic) window
+        now = 0.0
+        for step in range(400):
+            now += rng.choice((0.0, 0.01, 0.25, 0.6))
+            for _ in range(rng.randrange(4)):
+                # Magnitudes spread over many binades so summation order and
+                # rounding are visible in the low bits.
+                sic = rng.random() * 10.0 ** rng.randrange(-12, 3)
+                tracker.record_result(now, sic)
+                events.append((now, sic))
+            action = rng.randrange(4)
+            if action == 0:
+                tracker.expire(now)
+                events = [e for e in events if e[0] > now - config.stw_seconds]
+            elif action == 1:
+                state = tracker.snapshot_state()
+                assert state["events"] == [list(e) for e in events]
+                tracker = ResultSicTracker("q", config)
+                tracker.restore_state(state)
+            else:
+                events = [e for e in events if e[0] > now - config.stw_seconds]
+                expected = sum(sic for _, sic in events)
+                first = tracker._first_event_time
+                if first is not None:
+                    observed = now - first + config.slide_seconds
+                    expected = expected / min(1.0, observed / config.stw_seconds)
+                reading = tracker.current_sic(now)
+                assert reading.hex() == float(expected).hex()
+                assert tracker.current_sic(now).hex() == reading.hex()  # re-read
+                assert tracker.window_event_count() == len(events)
+
     def test_negative_sic_rejected(self):
         tracker = ResultSicTracker("q", StwConfig())
         with pytest.raises(ValueError):

@@ -332,3 +332,212 @@ class TestReliableChannel:
         # Physical bytes include the ack the receiver sent back.
         assert network.stats.bytes_wire == size + 20
         assert network.stats.acks_sent == 1
+
+
+class TestPerMessageAccounting:
+    """Size and link latency are looked up once per message and passed down."""
+
+    @staticmethod
+    def counting(message_cls):
+        calls = []
+
+        class Counting(message_cls):
+            def size_bytes(self):
+                calls.append(self)
+                return super().size_bytes()
+
+        return Counting, calls
+
+    @pytest.mark.parametrize("reliable", [False, True])
+    def test_fault_free_message_is_sized_once(self, reliable):
+        Counting, calls = self.counting(DataMessage)
+        network = Network(
+            UniformLatency(0.01),
+            reliability=ReliabilityConfig() if reliable else None,
+        )
+        messages = [
+            Counting(destination="n1", batch=batch(n=n), target_fragment_id="f")
+            for n in (1, 4, 2)
+        ]
+        for message in messages:
+            network.send(message, sent_at=0.0, source="n0")
+        assert pump(network) == messages
+        assert len(calls) == len(messages)
+        total = sum(DataMessage.size_bytes(m) for m in messages)
+        assert network.bytes_sent == network.bytes_delivered == total
+        assert network.stats.bytes_wire == total + 20 * network.stats.acks_sent
+        assert network.stats.acks_sent == (len(messages) if reliable else 0)
+
+    def test_reliable_send_looks_each_direction_up_once(self):
+        class CountingLatency(LatencyMatrix):
+            def __init__(self):
+                super().__init__(0.02, {("n0", "n1"): 0.01, ("n1", "n0"): 0.03})
+                self.lookups = []
+
+            def latency(self, source, destination):
+                self.lookups.append((source, destination))
+                return super().latency(source, destination)
+
+        model = CountingLatency()
+        network = Network(model, reliability=ReliabilityConfig())
+        message = DataMessage(destination="n1", batch=batch(), target_fragment_id="f")
+        assert network.send(message, sent_at=0.0, source="n0") == 0.01
+        # Forward for the delivery time, reverse for the RTT — nothing else.
+        assert model.lookups == [("n0", "n1"), ("n1", "n0")]
+        assert pump(network) == [message]
+        assert model.lookups == [("n0", "n1"), ("n1", "n0"), ("n1", "n0")]  # + the ack
+
+    def test_counters_under_loss_duplication_and_retransmission_are_pinned(self):
+        # Every NetworkStats counter and the three byte totals of a seeded
+        # lossy scenario (drops, duplicates, lost acks, a dead endpoint,
+        # window overflow, retry exhaustion), recorded before sizes and
+        # latencies were passed down instead of recomputed per copy.
+        latency = LatencyMatrix(0.02, {("n0", "n1"): 0.01, ("n1", "n0"): 0.03})
+        network = Network(
+            latency, reliability=ReliabilityConfig(max_retries=3, window=6)
+        )
+        transmissions = [0]
+
+        def policy(message, source, destination, sent_at, lat):
+            transmissions[0] += 1
+            k = transmissions[0]
+            if k % 5 == 0:
+                return ()
+            if k % 7 == 0:
+                return (sent_at + lat, sent_at + lat + 0.004)
+            if message.kind == "ack" and k % 3 == 0:
+                return ()
+            return (sent_at + lat,)
+
+        network.fault_policy = policy
+        delivered = []
+        for i in range(60):
+            now = i * 0.01
+            if i == 20:
+                network.dead_endpoints.add("n1")
+            if i == 30:
+                network.dead_endpoints.discard("n1")
+            src, dst = ("n0", "n1") if i % 3 else ("n1", "n0")
+            data = Batch(
+                f"q{i % 4}",
+                [
+                    Tuple(now, 0.1, {"v": float(j), "w": float(i)})
+                    for j in range(1 + i % 6)
+                ],
+            )
+            network.send(
+                DataMessage(destination=dst, batch=data, target_fragment_id=f"f{i}"),
+                now,
+                src,
+            )
+            if i % 4 == 0:
+                result = Batch(
+                    f"q{i % 4}", [Tuple(now, 0.2, {"r": float(i)})] * (1 + i % 3)
+                )
+                network.send(ResultMessage(destination="coord", batch=result), now, src)
+            if i % 5 == 0:
+                network.send(
+                    SicUpdateMessage(
+                        destination=dst, query_id="q0", sic_value=0.5, sent_at=now
+                    ),
+                    now,
+                    "coord",
+                )
+                network.send(
+                    HeartbeatMessage(destination="coord", node_id=src, sent_at=now),
+                    now,
+                    src,
+                )
+            delivered.extend(network.deliver_due(now))
+        delivered.extend(pump(network))
+
+        assert transmissions[0] == 180
+        assert network.sent_messages == 99
+        assert network.delivered_messages == len(delivered) == 67
+        assert network.bytes_sent == 6702
+        assert network.bytes_delivered == 4096
+        assert network.bytes_delivered == sum(m.size_bytes() for m in delivered)
+        assert network.stats.as_dict() == {
+            "sent": {"data": 60, "result": 15, "sic_update": 12, "heartbeat": 12},
+            "delivered": {"data": 30, "result": 15, "sic_update": 13, "heartbeat": 9},
+            "dropped": {
+                "data": 26, "result": 2, "sic_update": 4, "heartbeat": 4, "ack": 35,
+            },
+            "duplicates": {"data": 21, "result": 9},
+            "retransmits": {"data": 42, "result": 10},
+            "expired": {"data": 34, "result": 1},
+            "tuples_sent": {"data": 210, "result": 30},
+            "tuples_delivered": {"data": 112, "result": 30},
+            "tuples_expired": {"data": 107, "result": 3},
+            "bytes_wire": 7594,
+            "acks_sent": 75,
+        }
+
+
+class TestInFlightQueueOrder:
+    """Queue entries are tuples ordered by ``(deliver_at, sequence)`` in C."""
+
+    @staticmethod
+    def uncomparable_heartbeat(tag):
+        class Uncomparable(HeartbeatMessage):
+            def _refuse(self, other):
+                raise AssertionError("queue comparison reached a Message")
+
+            __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _refuse
+            __hash__ = object.__hash__
+
+        return Uncomparable(destination="c", node_id=tag)
+
+    def test_int_sequences_pop_by_time_then_send_order(self):
+        import random
+
+        rng = random.Random(3)
+        network = Network(LatencyMatrix(0.02, {("a", "c"): 0.01}))
+        sends = []
+        for index in range(120):
+            source = rng.choice(("a", "b"))
+            sent_at = rng.choice((0.0, 0.01, 0.01, 0.02))
+            message = self.uncomparable_heartbeat(f"m{index}")
+            sends.append((network.send(message, sent_at, source), index))
+        entries = list(network._queue)
+        assert all(isinstance(entry, tuple) for entry in entries)
+        # Equal keys cannot occur: sequences are unique, so every comparison
+        # is decided by (deliver_at, sequence) and never reaches the message.
+        assert sorted(entry.sequence for entry in entries) == list(range(120))
+        delivered = pump(network)
+        assert [m.node_id for m in delivered] == [f"m{i}" for _, i in sorted(sends)]
+
+    def test_action_token_sequences_pop_by_time_then_token(self):
+        import itertools
+        import random
+
+        # Sharded-runtime shaped tokens: (send time, phase priority, sender
+        # context rank, intra-context index), unique but issued out of order.
+        rng = random.Random(8)
+        tokens = [
+            (round(0.25 * (k % 3), 2), k % 4, ((0.0, -2), (k % 5,)), k)
+            for k in range(200)
+        ]
+        rng.shuffle(tokens)
+        issued = []
+        feed = iter(tokens)
+
+        def hook():
+            token = next(feed)
+            issued.append(token)
+            return token
+
+        network = Network(LatencyMatrix(0.02, {("a", "c"): 0.01}))
+        network.sequence_hook = hook
+        sends = []
+        for index, (source, sent_at) in enumerate(
+            itertools.islice(
+                itertools.cycle([("a", 0.0), ("b", 0.0), ("a", 0.01), ("b", 0.01)]), 120
+            )
+        ):
+            message = self.uncomparable_heartbeat(f"m{index}")
+            deliver_at = network.send(message, sent_at, source)
+            sends.append((deliver_at, issued[-1], f"m{index}"))
+        assert len(set(issued)) == len(issued)
+        delivered = pump(network)
+        assert [m.node_id for m in delivered] == [tag for _, _, tag in sorted(sends)]

@@ -179,3 +179,85 @@ class TestCompaction:
         assert fired == ["cancel", "after"]
         assert scheduler.compactions >= 1
         assert scheduler.pending_events() == 0
+
+
+class TestHeapEntries:
+    """The heap holds ``(time, priority, seq, event)`` tuples compared in C."""
+
+    def test_entries_are_tuples_with_unique_seqs_and_pop_in_key_order(self):
+        import random
+
+        rng = random.Random(5)
+        scheduler = EventScheduler()
+        fired = []
+        expected = []
+        for index in range(300):
+            time = rng.choice((0.25, 0.5, 0.5, 1.0))
+            priority = rng.choice(
+                (PRIORITY_SOURCE, PRIORITY_DELIVERY, PRIORITY_NODE, PRIORITY_COORDINATOR)
+            )
+            scheduler.schedule(
+                time, priority, lambda t, index=index: fired.append(index)
+            )
+            expected.append((time, priority, index))
+        heap = scheduler._heap
+        assert all(type(entry) is tuple and len(entry) == 4 for entry in heap)
+        assert all(
+            entry[:3] == (entry[3].time, entry[3].priority, entry[3].seq)
+            for entry in heap
+        )
+        # Equal keys cannot occur, so a comparison is decided before it
+        # reaches the event object in the last slot.
+        assert len({entry[2] for entry in heap}) == len(heap)
+        scheduler.run_until(1.0)
+        assert fired == [index for _, _, index in sorted(expected)]
+
+    def test_events_are_never_compared(self):
+        from repro.runtime.scheduler import ScheduledEvent
+
+        def refuse(self, other):
+            raise AssertionError("heap comparison reached a ScheduledEvent")
+
+        names = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__")
+        saved = {name: ScheduledEvent.__dict__.get(name) for name in names}
+        for name in names:
+            setattr(ScheduledEvent, name, refuse)
+        try:
+            scheduler = EventScheduler()
+            fired = []
+            handles = [
+                scheduler.schedule(
+                    1.0 + (i % 5) * 0.25, PRIORITY_NODE, lambda t, i=i: fired.append(i)
+                )
+                for i in range(200)
+            ]
+            for i, handle in enumerate(handles):
+                if i % 4:
+                    handle.cancel()  # crosses the compaction threshold
+            assert scheduler.compactions >= 1
+            assert scheduler.peek_instant(1.0, PRIORITY_NODE) is handles[0]
+            scheduler.run_until(5.0)
+        finally:
+            for name, original in saved.items():
+                if original is None:
+                    delattr(ScheduledEvent, name)
+                else:
+                    setattr(ScheduledEvent, name, original)
+        assert fired == sorted(
+            (i for i in range(200) if i % 4 == 0), key=lambda i: (i % 5, i)
+        )
+
+    def test_peek_and_run_one_walk_the_same_order(self):
+        scheduler = EventScheduler()
+        fired = []
+        first = scheduler.schedule(1.0, PRIORITY_NODE, lambda t: fired.append("a"))
+        second = scheduler.schedule(1.0, PRIORITY_NODE, lambda t: fired.append("b"))
+        scheduler.schedule(1.0, PRIORITY_COORDINATOR, lambda t: fired.append("c"))
+        first.cancel()
+        assert scheduler.has_events_at(1.0, PRIORITY_NODE)
+        assert scheduler.peek_instant(1.0, PRIORITY_NODE) is second
+        scheduler.run_one(1.0, PRIORITY_NODE)
+        assert scheduler.peek_instant(1.0, PRIORITY_NODE) is None
+        assert scheduler.next_event_time() == 1.0
+        scheduler.run_instant(1.0, PRIORITY_COORDINATOR)
+        assert fired == ["b", "c"]

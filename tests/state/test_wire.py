@@ -152,6 +152,35 @@ class TestEntryRoundTrip:
         assert restored.sequence == entry.sequence
 
 
+    def test_restored_entry_is_the_tuple_type_and_sorts_where_the_original_did(self):
+        import heapq
+
+        batch = Batch("q0", [Tuple(1.0, 0.5, {"v": 1.0})])
+        message = DataMessage("node-1", batch, "f0")
+        entries = [
+            _InFlight(2.0, (2.0, 1, (), 1), None, control=("rtx", ("a", "b"), 3)),
+            _InFlight(
+                2.0, (2.0, 1, (), 0), message, ("a", "b"), 4, None, message.size_bytes()
+            ),
+            _InFlight(1.5, (1.5, 2, ((0.0, -2),), 7), message, size=message.size_bytes()),
+        ]
+        restored = [entry_from_wire(entry_to_wire(entry)) for entry in entries]
+        for before, after in zip(entries, restored):
+            assert type(after) is _InFlight and isinstance(after, tuple)
+            assert after[:2] == before[:2] == (after.deliver_at, after.sequence)
+            assert after.link == before.link and after.seq == before.seq
+            assert after.control == before.control
+            assert after.size == before.size
+            assert (after.message is None) == (before.message is None)
+        # Same heap order as the sender's entries; deciding it never needs
+        # more than (deliver_at, sequence), so no Message is ever compared.
+        heap = []
+        for entry in restored:
+            heapq.heappush(heap, entry)
+        popped = [heapq.heappop(heap)[:2] for _ in range(len(restored))]
+        assert popped == sorted(entry[:2] for entry in entries)
+
+
 class TestPendingSendRoundTrip:
     def test_retransmit_state_survives(self):
         batch = Batch("q0", [Tuple(1.0, 0.5, {"v": 2.0})])
