@@ -32,12 +32,28 @@ the working SICs of the queries that have none sit in a second sorted list.
 ``q'`` is the head of the first list.  Its tie group is the prefix of
 entries within ``epsilon`` of that minimum, ordered by buffer position (the
 order it already has when the tied values are bit-equal); the winner is
-drawn from it with one ``rng.choice``, and only when at least two queries
-are tied.  ``q''`` is the first entry of either list beyond ``q' +
-epsilon``.  A step removes one entry and re-inserts it at its new SIC, so
-the index never holds a stale entry: a step costs O(log Q) comparisons and
-one pointer move of the list, plus a slice and a sort of the tied prefix
-when there is a tie.
+drawn from it only when at least two queries are tied.  ``q''`` is the
+first entry of either list beyond ``q' + epsilon``.  A step removes one
+entry and re-inserts it at its new SIC, so the index never holds a stale
+entry: a step costs O(log Q) comparisons and one pointer move of the list.
+
+Tie groups are reused across draws.  Under permanent overload the queries
+of one rate class climb in lockstep, so consecutive steps break the same tie
+among a dozen queries, each time minus the one drawn last (it climbed to
+``q''``).  The group — sorted by buffer position once — is kept between
+steps with the drawn member removed, together with the index head it was
+built under.  While the head is that same entry the limit ``q' + epsilon``
+is unchanged, every cached member is still inside it, and none can have
+left the index except by being drawn (an untied step needs a lone entry
+within the limit).  The prefix within the limit thus holds the cached
+members plus any drawn query that landed back inside it, so it *is* the
+cache exactly when it has as many entries.  Two comparisons — head
+identity, and the entry at the cached length against the limit — decide
+whether the group is reused; otherwise it is rebuilt (slice, and a sort
+when the tied values are not bit-equal).  The draw is
+``rng._randbelow(len(group))``, which is the body of ``Random.choice``: the
+same method on the same generator consumes the same bits, so the RNG stream
+and every winner are unchanged.
 
 The loop is *piece-free*: accepting tuples from a query's top pending batch
 only advances an integer cursor over that batch and reads the accepted SIC
@@ -51,7 +67,7 @@ input batch, and everything downstream of the shedder — delivery, window
 insert, the node-local SIC tracker — runs per batch, not per water-filling
 step.
 
-The loop replays the exact same RNG call sequence (tie-break ``choice`` over
+The loop replays the exact same RNG call sequence (one tie-break draw over
 the tied queries in buffer order, per-query ``shuffle`` for the RANDOM
 strategy) and the exact same floating-point arithmetic on the working SIC
 values as the reference, so seeded runs keep the same tuples: per query the
@@ -345,21 +361,34 @@ class BalanceSicPolicy:
         # The loop below runs once per water-filling step (thousands of times
         # per round under permanent overload), so the index queries are
         # written out in place instead of being method calls.
-        choice = self.rng.choice
+        randbelow = self.rng._randbelow
+        # The tie group of the last tie step, in buffer order, minus the
+        # members drawn since, and the head entry it was built under (see
+        # the module docstring).
+        group: List[tuple] = []
+        group_head = None
         while remaining > 0 and pend:
             # q': the minimum-SIC query that still has pending batches; the
             # queries within epsilon of it are tied and one is drawn.
-            working = pend[0][0]
+            head = pend[0]
+            working = head[0]
             limit = working + eps
             if len(pend) == 1 or pend[1][0] > limit:
                 q_prime = pend.pop(0)[2]
                 beyond = 0
             else:
-                count = bisect_right(pend, (limit, past_order))
-                tied = pend[:count]
-                if tied[-1][0] != working:
-                    tied.sort(key=_buffer_order)
-                chosen = choice(tied)
+                count = len(group)
+                if head is not group_head or (
+                    count < len(pend) and pend[count][0] <= limit
+                ):
+                    # A new limit, or more entries within it than cached
+                    # members: rebuild the group from the index.
+                    count = bisect_right(pend, (limit, past_order))
+                    group = pend[:count]
+                    if group[-1][0] != working:
+                        group.sort(key=_buffer_order)
+                    group_head = head
+                chosen = group.pop(randbelow(count))
                 del pend[bisect_left(pend, chosen, 0, count)]
                 working, _order, q_prime = chosen
                 limit = working + eps

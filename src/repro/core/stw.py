@@ -91,9 +91,14 @@ class ResultSicTracker:
             return 0.0
         return total / coverage
 
-    def snapshot(self, now: float) -> float:
-        """Record the current SIC in the history and return it."""
-        value = self.current_sic(now)
+    def snapshot(self, now: float, value: Optional[float] = None) -> float:
+        """Record the current SIC in the history and return it.
+
+        ``value`` is a :meth:`current_sic` reading the caller already took at
+        ``now`` (with no event recorded since); it is recorded as is.
+        """
+        if value is None:
+            value = self.current_sic(now)
         self._history.append((now, value))
         return value
 

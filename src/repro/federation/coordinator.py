@@ -9,10 +9,12 @@ the ``updateSIC`` step of Algorithm 1 that lets autonomous nodes converge to
 globally fair shedding.
 
 Coordinators are event-driven components: :meth:`QueryCoordinator.on_result`
-handles an arriving result batch and :meth:`QueryCoordinator.on_update_round`
-runs one dissemination round.  The lockstep loop and the discrete-event
-runtime (:mod:`repro.runtime`) both drive exactly these two handlers, which is
-what keeps their executions result-identical.  Coordinators are torn down when
+handles an arriving result batch and :meth:`QueryCoordinator.update_targets`
+opens one dissemination round.  The lockstep loop and the discrete-event
+runtime (:mod:`repro.runtime`) both reach exactly these two handlers through
+the same ``FederatedSystem`` handlers (``dispatch``,
+``run_coordinator_round``), which is what keeps their executions
+result-identical.  Coordinators are torn down when
 their query is undeployed (:meth:`CoordinatorRegistry.remove`).
 """
 
@@ -126,8 +128,10 @@ class QueryCoordinator:
     def current_sic(self, now: float) -> float:
         return self.tracker.current_sic(now)
 
-    def snapshot(self, now: float) -> float:
-        return self.tracker.snapshot(now)
+    def snapshot(self, now: float, sic: Optional[float] = None) -> float:
+        """Record the result SIC at ``now`` in the history (see
+        :meth:`ResultSicTracker.snapshot` for ``sic``)."""
+        return self.tracker.snapshot(now, sic)
 
     def due_for_update(self, now: float) -> bool:
         """Whether an ``updateSIC`` dissemination round is due at ``now``."""
@@ -135,26 +139,21 @@ class QueryCoordinator:
             return True
         return now - self._last_update_time >= self.update_interval - 1e-9
 
-    def on_update_round(self, now: float) -> List[Dict[str, object]]:
-        """Build the update payloads for every hosting node (if due).
+    def update_targets(self, now: float) -> List[str]:
+        """Open a dissemination round if one is due at ``now``.
 
-        Returns a list of dictionaries with keys ``node_id``, ``query_id`` and
-        ``sic``; the caller (the FSPS or the event runtime) wraps them into
-        network messages so the coordinator itself stays transport-agnostic.
+        Returns the hosting nodes to send ``updateSIC`` to, in sorted order
+        (empty when no round is due), and counts them as sent.  The caller
+        (``FederatedSystem.run_coordinator_round``) wraps the current result
+        SIC into one network message per node, so the coordinator itself
+        stays transport-agnostic.
         """
         if not self.due_for_update(now):
             return []
         self._last_update_time = now
-        sic = self.current_sic(now)
-        updates = [
-            {"node_id": node_id, "query_id": self.query_id, "sic": sic}
-            for node_id in sorted(self.hosting_nodes)
-        ]
-        self.updates_sent += len(updates)
-        return updates
-
-    # Seed-era name, kept as the compatibility surface.
-    make_updates = on_update_round
+        targets = sorted(self.hosting_nodes)
+        self.updates_sent += len(targets)
+        return targets
 
     # ------------------------------------------------------ checkpoint/restore
     def snapshot_state(self, now: float = 0.0) -> Dict[str, object]:

@@ -25,8 +25,8 @@ Two drivers exist.  The *lockstep* driver is :meth:`FederatedSystem.tick`,
 which runs every handler for every component once per shedding interval in a
 fixed phase order — it is the reproduction's original execution model and is
 preserved as the equivalence oracle.  The *discrete-event* driver
-(:mod:`repro.runtime`) schedules each component's rounds as independent heap
-events, which allows heterogeneous per-node shedding intervals and the
+(:mod:`repro.runtime`) schedules each component's rounds as independent
+recurring streams, which allows heterogeneous per-node shedding intervals and the
 mid-run lifecycle operations (:meth:`deploy_query` / :meth:`undeploy_query` /
 :meth:`add_node` / :meth:`remove_node` / :meth:`fail_node`).
 
@@ -758,11 +758,14 @@ class FederatedSystem:
         self.deliver_messages(self.now)
         for node in self.nodes.values():
             self.run_node_round(node, self.now, timer=timer)
-        for coordinator in self.coordinators.all():
+        coordinators = self.coordinators.all()
+        sics = [
             self.run_coordinator_round(coordinator, self.now)
+            for coordinator in coordinators
+        ]
         # Record a snapshot of every query's result SIC for the run summary.
-        for coordinator in self.coordinators.all():
-            coordinator.snapshot(self.now)
+        for coordinator, sic in zip(coordinators, sics):
+            coordinator.snapshot(self.now, sic)
 
     def run(
         self,
@@ -1090,15 +1093,27 @@ class FederatedSystem:
 
     def run_coordinator_round(
         self, coordinator: QueryCoordinator, now: float
-    ) -> None:
-        """One ``updateSIC`` dissemination round for ``coordinator`` (if due)."""
+    ) -> float:
+        """One ``updateSIC`` dissemination round for ``coordinator`` (if due).
+
+        Returns the coordinator's result SIC at ``now``, read once: it is the
+        value every update of the round carries, and — since sending changes
+        no tracker — the value the round's history snapshot records.
+        """
+        sic = coordinator.current_sic(now)
         if not self.enable_sic_updates:
-            return
-        for update in coordinator.on_update_round(now):
-            message = SicUpdateMessage(
-                destination=update["node_id"],
-                query_id=update["query_id"],
-                sic_value=float(update["sic"]),
+            return sic
+        query_id = coordinator.query_id
+        send = self.network.send
+        for node_id in coordinator.update_targets(now):
+            send(
+                SicUpdateMessage(
+                    destination=node_id,
+                    query_id=query_id,
+                    sic_value=sic,
+                    sent_at=now,
+                ),
                 sent_at=now,
+                source=COORDINATOR_ENDPOINT,
             )
-            self.network.send(message, sent_at=now, source=COORDINATOR_ENDPOINT)
+        return sic

@@ -390,6 +390,11 @@ class _InFlight(NamedTuple):
     size: int = 0
 
 
+# ``_new_entry(_InFlight, fields)`` builds an entry from all seven fields
+# without the Python-level frame of the named tuple's ``__new__``.
+_new_entry = tuple.__new__
+
+
 class Network:
     """In-flight message queue with latency-based delivery times.
 
@@ -449,7 +454,8 @@ class Network:
         # ``(deliver_at, sequence)`` of the in-flight entry currently being
         # processed by the delivery path, or None.  Sends performed while
         # processing a delivery (acks, placement forwards, retransmits) use
-        # it as their ordering context under the sharded runtime.
+        # it as their ordering context under the sharded runtime; it is only
+        # maintained while a ``sequence_hook`` (its one reader) is installed.
         self.delivery_context: Optional[PyTuple[float, object]] = None
         # Fault hooks (see module docstring); both unset by default.
         self.fault_policy: Optional[FaultPolicy] = None
@@ -471,12 +477,13 @@ class Network:
         batch = getattr(message, "batch", None)
         if batch is not None:
             self.stats._bump(self.stats.tuples_sent, kind, len(batch))
-        latency = self.latency_model.latency(source, message.destination)
+        destination = message.destination
+        latency = self.latency_model.latency(source, destination)
         deliver_at = sent_at + latency
-        if self.reliability is None or kind not in self.RELIABLE_KINDS:
+        reliability = self.reliability
+        if reliability is None or kind not in self.RELIABLE_KINDS:
             self._transmit(message, source, sent_at, latency, size)
             return deliver_at
-        link = (source, message.destination)
         if kind == "result":
             # Results from every query a node hosts share the coordinator
             # endpoint; giving each query its own reliable lane keeps a
@@ -484,20 +491,24 @@ class Network:
             # result traffic drain on the query's home shard).  The real
             # endpoint names still drive latency, ack routing and
             # dead-endpoint checks.
-            link = link + (message.batch.query_id,)
-        pending = self._unacked.setdefault(link, {})
-        if len(pending) >= self.reliability.window:
+            link = (source, destination, message.batch.query_id)
+        else:
+            link = (source, destination)
+        pending = self._unacked.get(link)
+        if pending is None:
+            pending = self._unacked[link] = {}
+        elif len(pending) >= reliability.window:
             # Bounded retransmit buffer: refuse the send with accounting —
             # a silent drop would defeat the exactly-once ledger.
             self._expire(message)
             return deliver_at
         seq = self._next_seq.get(link, 0)
         self._next_seq[link] = seq + 1
-        rtt = latency + self.latency_model.latency(message.destination, source)
-        rto = max(self.reliability.min_rto_seconds, rtt * self.reliability.rto_rtt_multiplier)
+        rtt = latency + self.latency_model.latency(destination, source)
+        rto = max(reliability.min_rto_seconds, rtt * reliability.rto_rtt_multiplier)
         pending[seq] = _PendingSend(message, source, rto)
         self._transmit(message, source, sent_at, latency, size, link, seq)
-        self._push_control(("rtx", link, seq), sent_at + rto)
+        self._put(sent_at + rto, None, None, None, ("rtx", link, seq), 0)
         return deliver_at
 
     def _transmit(
@@ -517,54 +528,62 @@ class Network:
         up once and every copy reuses them.
         """
         destination = message.destination
-        if source in self.dead_endpoints or destination in self.dead_endpoints:
+        dead = self.dead_endpoints
+        if dead and (source in dead or destination in dead):
             self.stats._bump(self.stats.dropped, message.kind)
             return
-        if self.fault_policy is not None:
-            times = self.fault_policy(message, source, destination, sent_at, latency)
-        else:
-            times = (sent_at + latency,)
+        if self.fault_policy is None:
+            self.stats.bytes_wire += size
+            self._put(sent_at + latency, message, link, seq, None, size)
+            return
+        times = self.fault_policy(message, source, destination, sent_at, latency)
         if not times:
             self.stats._bump(self.stats.dropped, message.kind)
             return
         for deliver_at in times:
             self.stats.bytes_wire += size
-            self._enqueue(
-                _InFlight(
-                    deliver_at, self._next_sequence(), message, link, seq, None, size
-                )
-            )
-            if self.send_listener is not None:
-                self.send_listener(message, deliver_at)
+            self._put(deliver_at, message, link, seq, None, size)
 
-    def _push_control(self, control: PyTuple[str, Link, int], at: float) -> None:
-        self._enqueue(_InFlight(at, self._next_sequence(), None, control=control))
-        if self.send_listener is not None:
-            self.send_listener(None, at)
+    def _put(
+        self,
+        deliver_at: float,
+        message: Optional[Message],
+        link: Optional[Link],
+        seq: Optional[int],
+        control: Optional[PyTuple[str, Link, int]],
+        size: int,
+    ) -> None:
+        """Queue one in-flight entry and notify the send listener.
 
-    def _next_sequence(self) -> object:
-        if self.sequence_hook is not None:
-            return self.sequence_hook()
-        return next(self._message_ids)
-
-    def _enqueue(self, entry: _InFlight) -> None:
-        if self._shard_queues is not None:
-            shard = self._shard_router(entry)
-            if self.shard_sink is not None and self.shard_sink(entry, shard):
-                return
-            heapq.heappush(self._shard_queues[shard], entry)
-            if self.enqueue_listener is not None:
-                self.enqueue_listener(entry, shard)
-        else:
+        The single enqueue point of payload copies and retransmission timers
+        (``message`` None, ``control`` set) alike; it runs once or more per
+        reliable message, so it builds the entry tuple directly rather than
+        through the named tuple's keyword constructor.
+        """
+        hook = self.sequence_hook
+        sequence = next(self._message_ids) if hook is None else hook()
+        entry = _new_entry(
+            _InFlight, (deliver_at, sequence, message, link, seq, control, size)
+        )
+        if self._shard_queues is None:
             heapq.heappush(self._queue, entry)
+        else:
+            shard = self._shard_router(entry)
+            if self.shard_sink is None or not self.shard_sink(entry, shard):
+                heapq.heappush(self._shard_queues[shard], entry)
+                if self.enqueue_listener is not None:
+                    self.enqueue_listener(entry, shard)
+        if self.send_listener is not None:
+            self.send_listener(message, deliver_at)
 
     def _send_ack(self, link: Link, seq: int, now: float) -> None:
         # The ack crosses the network in the reverse direction and is subject
         # to the same faults as any other transmission.
         self.stats.acks_sent += 1
-        ack = AckMessage(destination=link[0], link=link, seq=seq)
-        latency = self.latency_model.latency(link[1], link[0])
-        self._transmit(ack, link[1], now, latency, ack.size_bytes())
+        source, destination = link[1], link[0]
+        ack = AckMessage(destination, link, seq)
+        latency = self.latency_model.latency(source, destination)
+        self._transmit(ack, source, now, latency, ack.size_bytes())
 
     def _expire(self, message: Message) -> None:
         self.stats._bump(self.stats.expired, message.kind)
@@ -627,8 +646,9 @@ class Network:
                 while queue and queue[0][0] <= now:
                     ready.append(heapq.heappop(queue))
             ready.sort()
+            process = self._entry_processor()
             for entry in ready:
-                self._process_entry(entry, now, due)
+                process(entry, now, due)
         self.delivered_messages += len(due)
         return due
 
@@ -636,8 +656,8 @@ class Network:
         """Pop one shard's entries due ``<= now`` in ``(time, sequence)`` order.
 
         Only meaningful after :meth:`attach_shards`; sends triggered while
-        processing (acks, retransmits) are routed back through ``_enqueue``
-        and may land on other shards' queues.
+        processing (acks, retransmits) are routed back through ``_put`` and
+        may land on other shards' queues.
         """
         due: List[Message] = []
         self._drain_heap(self._shard_queues[shard], now, due)
@@ -647,38 +667,64 @@ class Network:
     def _drain_heap(
         self, queue: List[_InFlight], now: float, due: List[Message]
     ) -> None:
+        pop = heapq.heappop
+        process = self._entry_processor()
         while queue and queue[0][0] <= now:
-            self._process_entry(heapq.heappop(queue), now, due)
+            process(pop(queue), now, due)
 
-    def _process_entry(self, entry: _InFlight, now: float, due: List[Message]) -> None:
+    def _entry_processor(self) -> Callable[[_InFlight, float, List[Message]], None]:
+        """How to process one due entry: in its delivery context only when a
+        sequence hook — the context's one reader — is installed."""
+        if self.sequence_hook is None:
+            return self._process_entry
+        return self._process_in_context
+
+    def _process_in_context(
+        self, entry: _InFlight, now: float, due: List[Message]
+    ) -> None:
         prev_ctx = self.delivery_context
         self.delivery_context = (entry.deliver_at, entry.sequence)
         try:
-            if entry.control is not None:
-                self._handle_control(entry.control, now)
-                return
-            message = entry.message
-            if message.destination in self.dead_endpoints:
-                self.stats._bump(self.stats.dropped, message.kind)
-                return
-            if isinstance(message, AckMessage):
-                self._unacked.get(message.link, {}).pop(message.seq, None)
-                return
-            if entry.link is None:
-                due.append(message)
-                self._count_delivered(message, entry.size)
-                return
-            self._receive_reliable(entry, now, due)
+            self._process_entry(entry, now, due)
         finally:
             self.delivery_context = prev_ctx
 
+    def _process_entry(self, entry: _InFlight, now: float, due: List[Message]) -> None:
+        _, _, message, link, seq, control, size = entry
+        if control is not None:
+            _, link, seq = control
+            pending = self._unacked.get(link)
+            if pending is not None:
+                pending = pending.get(seq)
+            # None: acked in the meantime, the timer is stale.
+            if pending is not None:
+                self._retransmit(link, seq, pending, now)
+            return
+        dead = self.dead_endpoints
+        if dead and message.destination in dead:
+            self.stats._bump(self.stats.dropped, message.kind)
+            return
+        if isinstance(message, AckMessage):
+            pending = self._unacked.get(message.link)
+            if pending is not None:
+                pending.pop(message.seq, None)
+            return
+        if link is None:
+            due.append(message)
+            self._count_delivered(message, size)
+            return
+        self._receive_reliable(message, link, seq, size, now, due)
+
     def _receive_reliable(
-        self, entry: _InFlight, now: float, due: List[Message]
+        self,
+        message: Message,
+        link: Link,
+        seq: int,
+        size: int,
+        now: float,
+        due: List[Message],
     ) -> None:
         """Ack, deduplicate and in-order-release one reliable payload copy."""
-        link = entry.link
-        seq = entry.seq
-        message = entry.message
         expected = self._recv_next.get(link, 0)
         # Always ack what arrived — a duplicate usually means the previous
         # ack was lost, so the sender still needs one.
@@ -695,7 +741,7 @@ class Network:
             return
         # seq == expected: release it plus any contiguous buffered run.
         due.append(message)
-        self._count_delivered(message, entry.size)
+        self._count_delivered(message, size)
         nxt = expected + 1
         buffer = self._recv_buffer.get(link)
         if buffer:
@@ -706,11 +752,10 @@ class Network:
                 nxt += 1
         self._recv_next[link] = nxt
 
-    def _handle_control(self, control: PyTuple[str, Link, int], now: float) -> None:
-        _, link, seq = control
-        pending = self._unacked.get(link, {}).get(seq)
-        if pending is None:
-            return  # acked in the meantime; timer is stale
+    def _retransmit(
+        self, link: Link, seq: int, pending: _PendingSend, now: float
+    ) -> None:
+        """A live retransmission timer fired: resend ``pending`` or expire it."""
         assert self.reliability is not None
         pending.attempts += 1
         if pending.attempts > self.reliability.max_retries:
@@ -727,7 +772,7 @@ class Network:
             self.reliability.max_rto_seconds,
             pending.rto * self.reliability.backoff_factor,
         )
-        self._push_control(("rtx", link, seq), now + pending.rto)
+        self._put(now + pending.rto, None, None, None, ("rtx", link, seq), 0)
 
     def _count_delivered(self, message: Message, size: int) -> None:
         kind = message.kind

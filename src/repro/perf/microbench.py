@@ -14,6 +14,7 @@ observed every 0.25 s shedding interval).
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 from typing import Dict, List, Mapping, Optional, Tuple as PyTuple
@@ -897,6 +898,13 @@ def run_end_to_end(
                 seed=i,
             )
         )
+    # Start from a collected heap.  Otherwise a full collection owed to
+    # whatever ran before (earlier runs, other tests) lands inside whichever
+    # timed run next crosses the collector's threshold — tens of ms on a
+    # large process heap — and a two-sided overhead gate misreads it as
+    # overhead of the side that paid it.  Collections caused by the run's own
+    # allocations still count.
+    gc.collect()
     with Stopwatch() as sw:
         result = engine.run()
     return sw.elapsed_seconds, result
@@ -1038,6 +1046,7 @@ def run_sharded_scenario(
     system = build_federation(
         generate_complex_workload(spec), num_nodes=num_nodes, config=config
     )
+    gc.collect()  # as in run_end_to_end
     with Stopwatch() as sw:
         result = Simulator(system, config).run()
     return sw.elapsed_seconds, result

@@ -1,19 +1,31 @@
 """Discrete-event driver of a :class:`~repro.federation.fsps.FederatedSystem`.
 
 Where the lockstep ``FederatedSystem.tick()`` advances every component once
-per global shedding interval, the :class:`EventRuntime` schedules each
-component's rounds as independent events on a deterministic heap
+per global shedding interval, the :class:`EventRuntime` drives each
+component's rounds as independent recurring streams on a deterministic heap
 (:mod:`repro.runtime.scheduler`):
 
-* one **source-generation** event stream per deployed query (window
+* one **source-generation** stream per deployed query (window
   ``(previous fire, now]``, cadence = the federation's shedding interval);
-* one **shedding-round** event stream per node, at the *node's own* cadence —
+* one **shedding-round** stream per node, at the *node's own* cadence —
   ``SimulationConfig.node_shedding_intervals`` / ``FspsNode.shedding_interval``
   override the federation default, so sites in different administrative
   domains can shed at different rates (site autonomy, C3);
-* one **coordinator** event stream per query (dissemination round gated by the
+* one **coordinator** stream per query (dissemination round gated by the
   coordinator's ``update_interval``, followed by the result-SIC snapshot);
 * one **delivery** event per distinct network delivery instant.
+
+Recurring streams are grouped into **cohorts**: members that share
+``(priority, interval, next instant)`` ride on one heap entry, which fires
+the live members in join order and reschedules once.  A stream joins the
+cohort most recently scheduled at its first ``(instant, priority,
+interval)``, or starts a new one.  Since a stream scheduled one-per-event
+would take the next ``seq`` — after everything already queued at that
+instant — joining the latest cohort there reproduces the single-heap
+``(time, priority, seq)`` pop order exactly: 300 queries cost one source
+event, one coordinator event and one node event per round, not 601.  (This
+relies on the runtime's own priorities — SOURCE, NODE, COORDINATOR —
+carrying only cohorts; fault and detector events use ``PRIORITY_FAULT``.)
 
 For homogeneous intervals a seeded event-driven run is *result-identical* to
 the lockstep loop — same per-query SIC series, same shed/received counts,
@@ -26,12 +38,13 @@ On top of the scheduler the runtime exposes the mid-run **lifecycle API**:
 queries can be deployed and undeployed and nodes added, decommissioned or
 crash-failed while the simulation is running — each operation atomically
 mutates the federation state (source re-routing, coordinator teardown) and
-starts or cancels the affected event streams.
+starts or cancels the affected streams.  Cancelling a stream marks it; a
+cohort left with no live member cancels its heap entry.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..federation.coordinator import QueryCoordinator
 from ..federation.fsps import (
@@ -48,9 +61,139 @@ from .scheduler import (
     PRIORITY_POST_DELIVERY,
     PRIORITY_SOURCE,
     EventScheduler,
+    ScheduledEvent,
 )
 
 __all__ = ["EventRuntime"]
+
+# Join key of a cohort: (next instant, priority, interval).
+_CohortKey = PyTuple[float, int, float]
+
+
+class _Stream:
+    """One recurring round (a cohort member); also its cancel handle.
+
+    Subclasses implement ``fire(now)``, the round itself.
+    """
+
+    __slots__ = ("system", "cohort", "cancelled")
+
+    def __init__(self, system: FederatedSystem) -> None:
+        self.system = system
+        self.cohort: Optional[_Cohort] = None
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        """Stop the stream; an emptied cohort leaves the heap."""
+        if not self.cancelled:
+            self.cancelled = True
+            self.cohort.member_cancelled()
+
+
+class _NodeRound(_Stream):
+    __slots__ = ("node", "timer")
+
+    def __init__(self, system: FederatedSystem, node: FspsNode, timer) -> None:
+        super().__init__(system)
+        self.node = node
+        self.timer = timer
+
+    def fire(self, now: float) -> None:
+        self.system.run_node_round(self.node, now, timer=self.timer)
+
+
+class _SourceRound(_Stream):
+    __slots__ = ("query", "start")
+
+    def __init__(self, system: FederatedSystem, query: DeployedQuery, start: float) -> None:
+        super().__init__(system)
+        self.query = query
+        # The generation window opens where the previous one closed, so no
+        # simulated time is double-generated or skipped.
+        self.start = start
+
+    def fire(self, now: float) -> None:
+        self.system.generate_query_sources(self.query, self.start, now)
+        self.start = now
+
+
+class _CoordinatorRound(_Stream):
+    __slots__ = ("coordinator",)
+
+    def __init__(self, system: FederatedSystem, coordinator: QueryCoordinator) -> None:
+        super().__init__(system)
+        self.coordinator = coordinator
+
+    def fire(self, now: float) -> None:
+        # The round's one SIC read feeds both the updateSIC messages and the
+        # per-interval history sample.
+        sic = self.system.run_coordinator_round(self.coordinator, now)
+        self.coordinator.snapshot(now, sic)
+
+
+class _CheckpointRound(_Stream):
+    __slots__ = ()
+
+    def fire(self, now: float) -> None:
+        self.system.checkpoint_all(now)
+
+
+class _Cohort:
+    """Streams sharing ``(priority, interval, next instant)``; one heap entry.
+
+    ``index`` is the runtime's join table (key → the cohort most recently
+    scheduled there); the cohort keeps its own entry in it current.  Rounds
+    may cancel streams but never start one (lifecycle calls come from
+    between ``run()`` segments or from fault and detector events), so no
+    stream joins or is scheduled beside a cohort while it fires.
+    """
+
+    __slots__ = ("scheduler", "index", "priority", "interval", "key", "members", "live", "event")
+
+    def __init__(
+        self,
+        scheduler: EventScheduler,
+        index: Dict[_CohortKey, "_Cohort"],
+        priority: int,
+        interval: float,
+    ) -> None:
+        self.scheduler = scheduler
+        self.index = index
+        self.priority = priority
+        self.interval = interval
+        self.key: Optional[_CohortKey] = None
+        self.members: List[_Stream] = []
+        self.live = 0
+        self.event: Optional[ScheduledEvent] = None
+
+    def schedule(self, time: float) -> None:
+        self.key = key = (time, self.priority, self.interval)
+        self.event = self.scheduler.schedule(time, self.priority, self.fire)
+        self.index[key] = self
+
+    def _unindex(self) -> None:
+        if self.index.get(self.key) is self:
+            del self.index[self.key]
+
+    def fire(self, now: float) -> None:
+        self.event = None
+        self._unindex()
+        members = self.members
+        if self.live < len(members):
+            members = self.members = [m for m in members if not m.cancelled]
+        for member in members:
+            # A member may be cancelled by an earlier member's round.
+            if not member.cancelled:
+                member.fire(now)
+        if self.live:
+            self.schedule(now + self.interval)
+
+    def member_cancelled(self) -> None:
+        self.live -= 1
+        if not self.live and self.event is not None:
+            self.event.cancel()
+            self.event = None
+            self._unindex()
 
 
 class EventRuntime:
@@ -92,8 +235,11 @@ class EventRuntime:
         self.default_interval = system.shedding_interval
         self.scheduler = EventScheduler(start=system.now)
         self._node_intervals: Dict[str, float] = dict(node_intervals or {})
-        # (kind, id) -> recurring-event handle, so lifecycle ops can cancel.
-        self._events: Dict[PyTuple[str, str], object] = {}
+        # (kind, id) -> recurring-stream handle, so lifecycle ops can cancel.
+        self._events: Dict[PyTuple[str, str], _Stream] = {}
+        # Join table: (next instant, priority, interval) -> the cohort most
+        # recently scheduled there.
+        self._cohorts: Dict[_CohortKey, _Cohort] = {}
         # Delivery instants already covered by a scheduled event; one event
         # per distinct (time, priority) drains every message due then.
         self._pending_deliveries: Set[PyTuple[float, int]] = set()
@@ -212,7 +358,7 @@ class EventRuntime:
         The protocol is atomic at the current scheduler instant: new sends
         are rerouted immediately, in-flight deliveries are replayed on the
         target in their original ``(time, priority, seq)`` order, and no
-        event stream needs rescheduling (source-generation streams are
+        stream needs rescheduling (source-generation streams are
         per-query and node rounds are per-node — neither follows the
         fragment).
         """
@@ -318,11 +464,34 @@ class EventRuntime:
         self._sync_system_clock()
         return self.system.checkpoint_all(self.system.now)
 
-    # -------------------------------------------------------- event scheduling
+    # ------------------------------------------------------- stream scheduling
     def _cancel(self, kind: str, key: str) -> None:
         handle = self._events.pop((kind, key), None)
         if handle is not None:
             handle.cancel()
+
+    def _start(
+        self, key: PyTuple[str, str], stream: _Stream, interval: float, priority: int
+    ) -> None:
+        """Start ``stream`` one ``interval`` from now, in its cohort.
+
+        It joins the cohort most recently scheduled at that ``(instant,
+        priority, interval)``: as a stream of its own it would take the next
+        ``seq`` and fire after everything already queued there.  Without such
+        a cohort — e.g. a standby promoted at ``PRIORITY_FAULT`` before the
+        instant's coordinator cohort has fired and moved on — it starts a new
+        one, which keeps firing ahead of the older cohort, as its own event
+        would have.
+        """
+        time = self.scheduler.now + interval
+        cohort = self._cohorts.get((time, priority, interval))
+        if cohort is None:
+            cohort = _Cohort(self.scheduler, self._cohorts, priority, interval)
+            cohort.schedule(time)
+        stream.cohort = cohort
+        cohort.members.append(stream)
+        cohort.live += 1
+        self._events[key] = stream
 
     def _node_interval(self, node: FspsNode) -> float:
         override = self._node_intervals.get(node.node_id)
@@ -333,35 +502,19 @@ class EventRuntime:
         return self.default_interval
 
     def _schedule_node(self, node: FspsNode) -> None:
-        interval = self._node_interval(node)
-        key = ("node", node.node_id)
-
-        def fire(now: float) -> None:
-            self.system.run_node_round(node, now, timer=self.timer)
-            self._events[key] = self.scheduler.schedule(
-                now + interval, PRIORITY_NODE, fire
-            )
-
-        self._events[key] = self.scheduler.schedule(
-            self.scheduler.now + interval, PRIORITY_NODE, fire
+        self._start(
+            ("node", node.node_id),
+            _NodeRound(self.system, node, self.timer),
+            self._node_interval(node),
+            PRIORITY_NODE,
         )
 
     def _schedule_query_sources(self, query: DeployedQuery) -> None:
-        interval = self.default_interval
-        key = ("source", query.query_id)
-        # The generation window opens where the previous one closed, so no
-        # simulated time is double-generated or skipped.
-        state = {"start": self.scheduler.now}
-
-        def fire(now: float) -> None:
-            self.system.generate_query_sources(query, state["start"], now)
-            state["start"] = now
-            self._events[key] = self.scheduler.schedule(
-                now + interval, PRIORITY_SOURCE, fire
-            )
-
-        self._events[key] = self.scheduler.schedule(
-            self.scheduler.now + interval, PRIORITY_SOURCE, fire
+        self._start(
+            ("source", query.query_id),
+            _SourceRound(self.system, query, self.scheduler.now),
+            self.default_interval,
+            PRIORITY_SOURCE,
         )
 
     def _schedule_coordinator(self, coordinator: QueryCoordinator) -> None:
@@ -370,40 +523,28 @@ class EventRuntime:
         # loop) — so sweeping coordinator_update_interval behaves identically
         # under both drivers.  The poll also takes the per-interval result-SIC
         # snapshot that feeds the reported time series.
-        interval = self.default_interval
-        key = ("coordinator", coordinator.query_id)
-
-        def fire(now: float) -> None:
-            self.system.run_coordinator_round(coordinator, now)
-            coordinator.snapshot(now)
-            self._events[key] = self.scheduler.schedule(
-                now + interval, PRIORITY_COORDINATOR, fire
-            )
-
-        self._events[key] = self.scheduler.schedule(
-            self.scheduler.now + interval, PRIORITY_COORDINATOR, fire
+        self._start(
+            ("coordinator", coordinator.query_id),
+            _CoordinatorRound(self.system, coordinator),
+            self.default_interval,
+            PRIORITY_COORDINATOR,
         )
 
     def _schedule_checkpoints(self, interval: float) -> None:
         """Recurring federation-wide checkpoint round.
 
-        One global event covers every node and coordinator alive at fire
-        time, so lifecycle changes need no checkpoint-stream bookkeeping.
-        Runs at coordinator priority (after the instant's node rounds), so an
+        One stream covers every node and coordinator alive at fire time, so
+        lifecycle changes need no checkpoint-stream bookkeeping.  Runs at
+        coordinator priority (after the instant's node rounds), so an
         envelope captures the post-round state of its fragment.  Checkpoint
         rounds never mutate federation state — enabling them cannot change a
         run's results.
         """
-        key = ("checkpoint", "__all__")
-
-        def fire(now: float) -> None:
-            self.system.checkpoint_all(now)
-            self._events[key] = self.scheduler.schedule(
-                now + interval, PRIORITY_COORDINATOR, fire
-            )
-
-        self._events[key] = self.scheduler.schedule(
-            self.scheduler.now + interval, PRIORITY_COORDINATOR, fire
+        self._start(
+            ("checkpoint", "__all__"),
+            _CheckpointRound(self.system),
+            interval,
+            PRIORITY_COORDINATOR,
         )
 
     # --------------------------------------------------------------- messaging
@@ -418,17 +559,15 @@ class EventRuntime:
         """
         scheduler = self.scheduler
         priority = PRIORITY_DELIVERY
-        current = scheduler.current_priority
-        if (
-            deliver_at <= scheduler.now
-            and current is not None
-            and current >= PRIORITY_DELIVERY
-        ):
-            priority = PRIORITY_POST_DELIVERY
+        if deliver_at <= scheduler.now:
+            current = scheduler.current_priority
+            if current is not None and current >= PRIORITY_DELIVERY:
+                priority = PRIORITY_POST_DELIVERY
         key = (deliver_at, priority)
-        if key in self._pending_deliveries:
+        pending = self._pending_deliveries
+        if key in pending:
             return
-        self._pending_deliveries.add(key)
+        pending.add(key)
 
         def fire(now: float) -> None:
             self._pending_deliveries.discard(key)

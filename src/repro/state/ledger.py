@@ -130,19 +130,19 @@ class ResultLedger:
 
     @property
     def deduped_tuples(self) -> int:
-        return sum(l.deduped_tuples for l in self._lanes.values())
+        return sum(lane.deduped_tuples for lane in self._lanes.values())
 
     @property
     def deduped_batches(self) -> int:
-        return sum(l.deduped_batches for l in self._lanes.values())
+        return sum(lane.deduped_batches for lane in self._lanes.values())
 
     @property
     def delivered_tuples(self) -> int:
-        return sum(l.delivered_tuples for l in self._lanes.values())
+        return sum(lane.delivered_tuples for lane in self._lanes.values())
 
     @property
     def lost_batches(self) -> int:
-        return sum(l.lost_batches for l in self._lanes.values())
+        return sum(lane.lost_batches for lane in self._lanes.values())
 
     def account_tail_loss(self, fragment_id: str, epoch: int,
                           emitted_seq: int) -> int:
@@ -183,10 +183,10 @@ class ResultLedger:
         return {
             "lanes": len(self._lanes),
             "emitted_high_watermark": sum(
-                l.acked_seq for l in self._lanes.values()
+                lane.acked_seq for lane in self._lanes.values()
             ),
             "delivered_batches": sum(
-                l.delivered_batches for l in self._lanes.values()
+                lane.delivered_batches for lane in self._lanes.values()
             ),
             "delivered_tuples": self.delivered_tuples,
             "deduped_batches": self.deduped_batches,

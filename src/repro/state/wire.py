@@ -22,7 +22,7 @@ deterministic merge order, nested tuples of scalars) pass through untouched.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple as PyTuple
+from typing import Any, Dict
 
 from ..federation.network import (
     AckMessage,

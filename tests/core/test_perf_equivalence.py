@@ -333,6 +333,108 @@ class TestNearTieEquivalence:
         for capacity in (total // 7, total // 2):
             assert_selection_identical(build, capacity, config, rng_seed=rng_seed)
 
+    # The fast path keeps a tie group across consecutive draws; the shapes
+    # below make that cache go stale in each way it can, or stay valid while
+    # something around it changes.
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_climber_lands_back_inside_the_tie_limit(self, rng_seed):
+        # Every pending query is tied and no level lies above them, so each
+        # draw accepts one batch — worth far less than epsilon — and the
+        # drawn query re-enters the group it was drawn from.
+        def build():
+            batches, reported = [], {}
+            for q in range(6):
+                query_id = f"q{q}"
+                reported[query_id] = 0.3 + q * 1e-14
+                batches.extend(flat_batch(query_id, 3, 1e-14) for _ in range(8))
+            return batches, reported
+
+        config = BalanceSicConfig(use_projection=False)
+        assert draws_made(rng_seed, build, 40, config)
+        for capacity in (7, 40, 100, 143):
+            assert_selection_identical(build, capacity, config, rng_seed=rng_seed)
+
+    @pytest.mark.parametrize("rng_seed", range(12))
+    def test_group_head_drawn(self, rng_seed):
+        # A group of five whose head (lowest SIC, last in buffer order) is
+        # the draw in about one step in five.  The next tie step's limit is
+        # the new head's, which also takes in ``edge``: a group built under
+        # the departed head must not be reused.
+        def build():
+            batches, reported = [], {}
+            for q in range(5):
+                query_id = f"q{q}"
+                reported[query_id] = 0.4 + (4 - q) * 2e-13
+                batches.append(flat_batch(query_id, 30, 1e-3))
+            batches.append(flat_batch("edge", 30, 1e-3))
+            reported["edge"] = 0.4 + 1.1e-12
+            batches.append(flat_batch("far", 30, 1e-3))
+            reported["far"] = 0.42
+            return batches, reported
+
+        config = BalanceSicConfig(use_projection=False)
+        for capacity in (3, 9, 60, 120):
+            assert_selection_identical(build, capacity, config, rng_seed=rng_seed)
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_tie_steps_interleaved_with_untied_steps(self, rng_seed):
+        # Three rate classes at three reported levels: classes merge as they
+        # climb, per-tuple SICs differ, so overshoots split them again and
+        # single-query steps alternate with tie draws.
+        rates = (40.0, 80.0, 120.0)
+
+        def reported_of(q):
+            return 0.5 + 1e-3 * (q % 3) + (q // 3) * 1e-14
+
+        def build():
+            batches, reported = make_classed_buffer(15, rates, reported_of)
+            batches.append(flat_batch("solo", 25, 2e-3))
+            reported["solo"] = 0.5015
+            return batches, reported
+
+        config = BalanceSicConfig(use_projection=False)
+        total = sum(len(b) for b in build()[0])
+        for capacity in (total // 8, total // 3, total // 2, total - 5):
+            assert_selection_identical(build, capacity, config, rng_seed=rng_seed)
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_idle_level_becomes_the_target_mid_group(self, rng_seed):
+        # Each tied query holds only a few tuples: a drawn query runs dry
+        # below the pending target and parks at an idle level, which is the
+        # target for the rest of the group's draws — the group itself (a
+        # pending-index structure) stays the same.
+        def build():
+            batches, reported = [], {}
+            for q in range(6):
+                query_id = f"q{q}"
+                reported[query_id] = 0.2 + q * 1e-13
+                batches.append(flat_batch(query_id, 2 + q, 1e-3))
+            batches.append(flat_batch("far", 40, 1e-3))
+            reported["far"] = 0.25
+            reported["idle"] = 0.26
+            return batches, reported
+
+        config = BalanceSicConfig(use_projection=False)
+        for capacity in (4, 11, 25, 45):
+            assert_selection_identical(build, capacity, config, rng_seed=rng_seed)
+
+    @pytest.mark.parametrize("use_projection", [True, False])
+    def test_many_queries_shape(self, use_projection):
+        # The benchmark's 300 small queries in three rate classes, one batch
+        # each, near-tied within a class: seven steps in ten are tie draws
+        # among a dozen or more queries.
+        def reported_of(q):
+            return 0.55 + 1e-3 * (q % 3) + (q % 7) * 1e-15
+
+        def build():
+            return make_classed_buffer(300, self.RATES, reported_of)
+
+        config = BalanceSicConfig(use_projection=use_projection)
+        total = sum(int(r * 0.25) for r in self.RATES) * 100
+        assert draws_made(0, build, total // 2, config)
+        assert_selection_identical(build, total // 2, config, rng_seed=0)
+
     GRID = (0.2, 0.2 + 1.5e-12, 0.25, 0.3)
 
     @given(

@@ -42,18 +42,17 @@ class TestQueryCoordinator:
 
     def test_updates_only_sent_to_registered_nodes(self):
         coordinator = QueryCoordinator("q", StwConfig(), update_interval=0.25)
-        coordinator.register_hosting_node("n1")
         coordinator.register_hosting_node("n2")
-        updates = coordinator.make_updates(now=0.25)
-        assert {u["node_id"] for u in updates} == {"n1", "n2"}
-        assert all(u["query_id"] == "q" for u in updates)
+        coordinator.register_hosting_node("n1")
+        assert coordinator.update_targets(now=0.25) == ["n1", "n2"]
+        assert coordinator.updates_sent == 2
 
     def test_updates_respect_the_interval(self):
         coordinator = QueryCoordinator("q", StwConfig(), update_interval=1.0)
         coordinator.register_hosting_node("n1")
-        assert coordinator.make_updates(now=0.0)  # first call always due
-        assert coordinator.make_updates(now=0.5) == []
-        assert coordinator.make_updates(now=1.0)
+        assert coordinator.update_targets(now=0.0)  # first call always due
+        assert coordinator.update_targets(now=0.5) == []
+        assert coordinator.update_targets(now=1.0)
 
     def test_rejects_bad_update_interval(self):
         with pytest.raises(ValueError):

@@ -82,8 +82,8 @@ class TestFifoUnderJitter:
             network.send(data_message(f"a{i}", "dst-a"), sent_at=i * 0.001, source="src")
             network.send(data_message(f"b{i}", "dst-b"), sent_at=i * 0.001, source="src")
         delivered = [m.target_fragment_id for m in pump(network)]
-        assert [l for l in delivered if l.startswith("a")] == [f"a{i}" for i in range(count)]
-        assert [l for l in delivered if l.startswith("b")] == [f"b{i}" for i in range(count)]
+        assert [label for label in delivered if label.startswith("a")] == [f"a{i}" for i in range(count)]
+        assert [label for label in delivered if label.startswith("b")] == [f"b{i}" for i in range(count)]
 
 
 class TestDedupIdempotence:

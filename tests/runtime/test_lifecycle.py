@@ -1,4 +1,5 @@
-"""Tests for the mid-run cluster & query lifecycle API of the event runtime."""
+"""Tests for the mid-run cluster & query lifecycle API of the event runtime
+and the stream cohorts it keeps in step with it."""
 
 import pytest
 
@@ -348,6 +349,110 @@ class TestClusterLifecycle:
         runtime = EventRuntime(make_system())
         with pytest.raises(ValueError):
             runtime.rejoin_node(make_node("ghost"))
+
+
+class TestCohorts:
+    """Recurring streams share one heap entry per (priority, interval, instant)."""
+
+    def test_member_cancelled_while_its_cohort_fires_does_not_fire(self, monkeypatch):
+        # node-0's round crashes node-1, whose round is next in the same node
+        # cohort: node-1 must not run at that instant or after.
+        system = make_system(num_nodes=2)
+        deploy(system, "q0", "node-0", seed=0)
+        runtime = EventRuntime(system)
+        runtime.run(1.0)
+        original = FederatedSystem.run_node_round
+        fired = []
+
+        def run_node_round(self, node, now, timer=None):
+            fired.append((now, node.node_id))
+            result = original(self, node, now, timer=timer)
+            if node.node_id == "node-0" and now == 1.5:
+                runtime.crash_node_silently("node-1")
+            return result
+
+        monkeypatch.setattr(FederatedSystem, "run_node_round", run_node_round)
+        runtime.run(1.0)
+        assert fired == [
+            (1.25, "node-0"), (1.25, "node-1"),
+            (1.5, "node-0"),
+            (1.75, "node-0"),
+            (2.0, "node-0"),
+        ]
+        assert system.nodes["node-1"].stats.ticks == 5
+
+    def test_join_order_is_one_event_per_stream_order(self, monkeypatch):
+        # One event per stream would fire q-a (scheduled at PRIORITY_FAULT,
+        # before the 1.5 rounds rescheduled) first and q-b (scheduled after
+        # the horizon's rounds) last at every later instant.
+        from repro.runtime.scheduler import PRIORITY_FAULT
+
+        system = make_system(num_nodes=1)
+        deploy(system, "q0", "node-0", seed=0)
+        deploy(system, "q1", "node-0", seed=1)
+        runtime = EventRuntime(system)
+        runtime.run(1.0)
+        order = []
+        for name in ("generate_query_sources", "run_coordinator_round"):
+            original = getattr(FederatedSystem, name)
+
+            def recording(self, component, *args, _name=name, _original=original):
+                order.append((runtime.now, _name, component.query_id))
+                return _original(self, component, *args)
+
+            monkeypatch.setattr(FederatedSystem, name, recording)
+        runtime.scheduler.schedule(
+            1.5, PRIORITY_FAULT, lambda now: deploy(runtime, "q-a", "node-0", seed=2)
+        )
+        runtime.run(0.5)
+        deploy(runtime, "q-b", "node-0", seed=3)
+        runtime.run(0.5)
+        for now in (1.75, 2.0):
+            for name in ("generate_query_sources", "run_coordinator_round"):
+                fired = [q for at, kind, q in order if at == now and kind == name]
+                assert fired == ["q-a", "q0", "q1", "q-b"]
+
+    def test_emptied_cohort_leaves_no_live_heap_entry(self):
+        system = make_system(num_nodes=1)
+        deploy(system, "q0", "node-0", seed=0)
+        deploy(system, "q1", "node-0", seed=1)
+        runtime = EventRuntime(system)
+        runtime.run(1.0)
+        scheduler = runtime.scheduler
+        # Two queries, one node: a source, a coordinator and a node cohort,
+        # plus the deliveries in flight at the horizon.
+        before = scheduler.pending_events()
+        runtime.undeploy_query("q0")
+        assert scheduler.pending_events() == before
+        runtime.undeploy_query("q1")
+        assert scheduler.pending_events() == before - 2
+        runtime.crash_node_silently("node-0")
+        assert scheduler.pending_events() == before - 3
+        runtime.run(1.0)
+        assert scheduler.pending_events() == 0
+        assert system.nodes["node-0"].stats.ticks == 4
+
+    def test_node_running_follows_cancel_and_restart(self):
+        system = make_system(num_nodes=2)
+        deploy(system, "q0", "node-1", seed=0)
+        runtime = EventRuntime(system, checkpoint_interval=INTERVAL)
+        assert runtime.node_running("node-1")
+        runtime.run(1.0)
+        runtime.crash_node_silently("node-1")
+        assert not runtime.node_running("node-1")
+        assert runtime.node_running("node-0")
+        runtime.fail_node("node-1")
+        assert not runtime.node_running("node-1")
+        runtime.run(0.5)
+        runtime.rejoin_node(make_node("node-1", seed=3))
+        assert runtime.node_running("node-1")
+        ticks = system.nodes["node-1"].stats.ticks
+        runtime.run(1.0)
+        assert system.nodes["node-1"].stats.ticks == ticks + 4
+        runtime.remove_node("node-1")
+        assert not runtime.node_running("node-1")
+        runtime.add_node(make_node("node-2", seed=4), shedding_interval=0.125)
+        assert runtime.node_running("node-2")
 
 
 class TestRuntimeHygiene:
