@@ -20,6 +20,7 @@ import os
 
 import pytest
 
+from repro.core.columns import use_backend
 from repro.perf.microbench import (
     MIGRATION_WINDOW_TUPLES,
     OVERLOAD_SELECTION_QUERIES,
@@ -29,7 +30,6 @@ from repro.perf.microbench import (
     run_end_to_end,
     time_aggregate_v2,
     time_end_to_end,
-    time_end_to_end_fused,
     time_end_to_end_v2,
     time_estimator_ingest,
     time_generation_sic,
@@ -38,7 +38,6 @@ from repro.perf.microbench import (
     time_node_ticks,
     time_overload_selection,
     time_reliability,
-    time_result_accounting,
     time_runtime,
     time_selection,
     time_sharded,
@@ -78,17 +77,11 @@ END_TO_END_SPEEDUP_FLOOR = 1.25
 WINDOW_V2_SPEEDUP_FLOOR = 3.0
 AGGREGATE_V2_SPEEDUP_FLOOR = 3.0
 END_TO_END_V2_SPEEDUP_FLOOR = 1.3
-# Fused fragment execution: the plan compiler's single-pass prefix vs staged
-# v2 dispatch on the identical paper-scale macro scenario (observed ~1.55-1.6x
-# on the recording machine — see the `fused` section of BENCH_shedding.json).
-# The 1.5x floor is the PR's acceptance criterion; both sides are best-of-3
-# because the margin over the floor is the thinnest of the suite.
-FUSED_END_TO_END_SPEEDUP_FLOOR = 1.5
 # One TOP-5 window (two 200-row panes on 2 ids -> 20 000 joined rows -> top 5):
 # the block-emitting join feeding a columnar top-k window vs the row join
 # feeding it one Tuple at a time (observed ~8x).
 JOIN_TOPK_SPEEDUP_FLOOR = 5.0
-# The three 10% ceilings below share one macro scenario (50 aggregate
+# The two 10% ceilings below share one macro scenario (50 aggregate
 # queries at overload factor 2).  The piece-free shedder took its wall time
 # from ~610 to ~340 ms, so a fixed cost or a scheduler hiccup of 20 ms now
 # reads 6% instead of 3% (the reliable channel's measured ~20 ms went from
@@ -104,12 +97,6 @@ RUNTIME_OVERHEAD_CEILING = 0.10
 # sequence numbers, acks and retransmission timers — see the `faults` section
 # of BENCH_shedding.json).
 RELIABILITY_OVERHEAD_CEILING = 0.10
-# Exactly-once result accounting must stay within 10% of an unaccounted run
-# end to end (robustness PR acceptance criterion; without crashes the ledger
-# only ever advances watermarks, the two runs are bit-exact result-identical,
-# and the ratio is the pure cost of stamping batches and updating ledger
-# lanes — see the `faults` section of BENCH_shedding.json).
-RESULT_ACCOUNTING_OVERHEAD_CEILING = 0.10
 # Checkpoint + restore of a 10⁵-tuple window must stay within this factor of
 # *building* the same window state through the columnar pipeline (ISSUE 4;
 # observed ~1.0× on the recording machine — the serialised round-trip costs
@@ -302,9 +289,10 @@ class TestColumnarBenchmarks:
 class TestColumnarV2Benchmarks:
     """NumPy-backed ColumnBlock v2 kernels vs the list-backed fast path.
 
-    Both sides run the identical code on the identical workload — only the
-    column storage differs — and are bit-exact result-identical, so the
-    ratios are pure representation speedups.
+    Both sides run the identical workload and are bit-exact
+    result-identical.  The window and aggregation kernels differ only in
+    column storage; the end-to-end macro also includes the fused fragment
+    execution that the numpy backend selects.
     """
 
     def test_window_insert_v2(self, benchmark):
@@ -353,14 +341,11 @@ class TestColumnarV2Benchmarks:
     def test_backend_result_identical(self):
         """Same seeds -> numpy- and list-backed runs reproduce each other
         exactly (scaled-down overload scenario, both backends forced)."""
-        _, numpy_run = run_end_to_end(
-            num_queries=10, rate=200.0, duration_seconds=3.0,
-            columnar_backend="numpy",
-        )
-        _, list_run = run_end_to_end(
-            num_queries=10, rate=200.0, duration_seconds=3.0,
-            columnar_backend="list",
-        )
+        kwargs = dict(num_queries=10, rate=200.0, duration_seconds=3.0)
+        with use_backend("numpy"):
+            _, numpy_run = run_end_to_end(**kwargs)
+        with use_backend("list"):
+            _, list_run = run_end_to_end(**kwargs)
         assert numpy_run.per_query_sic == list_run.per_query_sic
         assert numpy_run.result_values == list_run.result_values
 
@@ -386,44 +371,6 @@ class TestJoinTopKBenchmarks:
             f"the row join (floor {JOIN_TOPK_SPEEDUP_FLOOR}x); "
             f"block={block * 1e3:.2f} ms rows={rows * 1e3:.2f} ms"
         )
-
-
-class TestFusedBenchmarks:
-    """Fused fragment execution vs staged v2 dispatch (identical paper-scale
-    scenario on the numpy backend; results are bit-exact identical, so the
-    ratio is pure per-tick dispatch cost removed by the plan compiler)."""
-
-    def test_fused_end_to_end(self, benchmark):
-        seconds = benchmark.pedantic(
-            time_end_to_end_fused, rounds=1, iterations=1
-        )
-        benchmark.extra_info["scenario"] = "aggregate x12 @ 2000 t/s, fused"
-        assert seconds > 0
-
-    @skip_perf_asserts
-    def test_fused_speedup_vs_staged(self):
-        fused = best_of(3, time_end_to_end_fused, fusion="on")
-        staged = best_of(3, time_end_to_end_fused, fusion="off")
-        speedup = staged / fused
-        assert speedup >= FUSED_END_TO_END_SPEEDUP_FLOOR, (
-            f"fused fragment execution regressed: only {speedup:.2f}x over "
-            f"staged v2 (floor {FUSED_END_TO_END_SPEEDUP_FLOOR}x); "
-            f"fused={fused * 1e3:.0f} ms staged={staged * 1e3:.0f} ms"
-        )
-
-    def test_fused_result_identical(self):
-        """Same seeds -> the fused run reproduces the staged run exactly
-        (scaled-down overload scenario, numpy backend both sides)."""
-        _, fused = run_end_to_end(
-            num_queries=10, rate=200.0, duration_seconds=3.0,
-            columnar_backend="numpy", fusion="on",
-        )
-        _, staged = run_end_to_end(
-            num_queries=10, rate=200.0, duration_seconds=3.0,
-            columnar_backend="numpy", fusion="off",
-        )
-        assert fused.per_query_sic == staged.per_query_sic
-        assert fused.result_values == staged.result_values
 
 
 class TestMigrationBenchmarks:
@@ -548,49 +495,6 @@ class TestReliabilityBenchmarks:
         )
         assert reliable.per_query_sic == best_effort.per_query_sic
         assert reliable.result_values == best_effort.result_values
-
-
-class TestResultAccountingBenchmarks:
-    """Exactly-once result accounting vs an unaccounted run (identical
-    fault-free scenario, identical results — the timing difference is pure
-    bookkeeping: watermark stamps on emitted batches plus coordinator ledger
-    lane updates)."""
-
-    def test_accounted_end_to_end(self, benchmark):
-        seconds = benchmark.pedantic(
-            time_result_accounting, rounds=1, iterations=1
-        )
-        benchmark.extra_info["scenario"] = "aggregate x50, overload 2, exactly-once"
-        assert seconds > 0
-
-    @skip_perf_asserts
-    def test_result_accounting_overhead_within_budget(self):
-        off = best_of(MACRO_GATE_REPEATS, time_result_accounting, accounting=False)
-        on = best_of(MACRO_GATE_REPEATS, time_result_accounting, accounting=True)
-        overhead = on / off - 1.0
-        assert overhead <= RESULT_ACCOUNTING_OVERHEAD_CEILING, (
-            f"exactly-once accounting overhead {overhead * 100:.1f}% exceeds "
-            f"the {RESULT_ACCOUNTING_OVERHEAD_CEILING * 100:.0f}% budget on a "
-            f"fault-free run; on={on * 1e3:.0f} ms off={off * 1e3:.0f} ms"
-        )
-
-    def test_accounted_result_identical(self):
-        """Same seeds -> the accounted run reproduces the unaccounted run
-        exactly on a fault-free run, and the ledger closes with zero
-        unaccounted tuples (scaled-down scenario)."""
-        _, accounted = run_end_to_end(
-            num_queries=10, rate=200.0, duration_seconds=3.0,
-            result_accounting=True,
-        )
-        _, plain = run_end_to_end(
-            num_queries=10, rate=200.0, duration_seconds=3.0,
-            result_accounting=False,
-        )
-        assert accounted.per_query_sic == plain.per_query_sic
-        assert accounted.result_values == plain.result_values
-        assert accounted.result_accounting["enabled"] is True
-        assert accounted.result_accounting["unaccounted_tuples"] == 0
-        assert plain.result_accounting["enabled"] is False
 
 
 class TestShardedBenchmarks:

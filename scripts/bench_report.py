@@ -128,11 +128,6 @@ def build_report(quick: bool = False) -> dict:
     # One TOP-5 window, join -> top-k (row join / block-emitting join on the
     # identical panes): watched by --compare like the other ratios.
     speedups["join_topk"] = round(results["join_topk"]["speedup"], 2)
-    # Fused fragment execution (staged v2 / fused on the identical numpy
-    # paper-scale scenario): watched by --compare like the other ratios.
-    speedups["fused_end_to_end"] = round(
-        results["fused"]["end_to_end"]["speedup"], 2
-    )
     # Execution-driver ratio (lockstep / event, ~1.0): recorded so --compare
     # catches the discrete-event runtime blowing past its ≤10% overhead
     # budget in a later PR, like any other fast-path regression.
@@ -145,13 +140,6 @@ def build_report(quick: bool = False) -> dict:
     reliability = results["faults"]["reliability"]
     speedups["reliability_off_vs_on"] = round(
         reliability["off_ms"] / reliability["on_ms"], 2
-    )
-    # Exactly-once accounting ratio (off / on, ~1.0 on a fault-free run):
-    # recorded so --compare catches the watermark-stamp + ledger-lane
-    # bookkeeping blowing past its ≤10% overhead budget in a later PR.
-    exactly_once = results["faults"]["exactly_once"]
-    speedups["result_accounting_off_vs_on"] = round(
-        exactly_once["off_ms"] / exactly_once["on_ms"], 2
     )
     # Sharded-driver ratio (event / inline on the multi-site WAN federation
     # scenario, ~1.0): both sides run in one process, so the ratio is the

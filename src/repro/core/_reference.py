@@ -29,7 +29,7 @@ from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from .balance_sic import BalanceSicConfig, SelectionStrategy, ShedDecision
 from .sic import source_tuple_sic
-from .tuples import Batch, Tuple
+from .tuples import Batch, Tuple, seq_sum
 
 __all__ = [
     "ReferenceBalanceSicPolicy",
@@ -78,7 +78,7 @@ class ReferenceBalanceSicPolicy:
             decision.kept = list(batches)
             decision.kept_tuples = total_tuples
             decision.projected_sic = {
-                s.query_id: s.working_sic + sum(b.sic for b in s.pending)
+                s.query_id: s.working_sic + seq_sum([b.sic for b in s.pending])
                 for s in states.values()
             }
             return decision
@@ -165,7 +165,7 @@ class ReferenceBalanceSicPolicy:
             self._order_pending(pending)
             reported = float(reported_sic.get(query_id, 0.0))
             if self.config.use_projection:
-                buffered = sum(b.sic for b in pending)
+                buffered = seq_sum([b.sic for b in pending])
                 working = max(0.0, reported - buffered)
             else:
                 working = reported

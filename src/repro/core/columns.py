@@ -32,8 +32,7 @@ Stable orderings use ``np.argsort(kind="stable")``.  Seeded runs are therefore
 per-tuple pipeline (the differential suites assert it).
 
 The active backend is a process-wide setting (``set_default_backend`` /
-``use_backend``); :class:`repro.simulation.config.SimulationConfig` exposes it
-as ``columnar_backend`` and the simulator scopes it around each run.  The
+``use_backend``) that defaults from NumPy availability.  The
 ``REPRO_COLUMNAR_BACKEND`` environment variable overrides the import-time
 default (used by the CI leg that runs the whole suite list-backed).
 

@@ -15,7 +15,7 @@ random seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..core.shedding import Shedder, make_shedder
@@ -48,35 +48,17 @@ WorkloadBuilder = Callable[[], List[WorkloadQuery]]
 
 
 def config_with(config: SimulationConfig, **overrides: object) -> SimulationConfig:
-    """Return a copy of ``config`` with the given fields replaced."""
+    """Return a copy of ``config`` with the given fields replaced.
+
+    Dict-valued fields are copied, so the result never aliases ``config``'s.
+    """
     values = {
-        "duration_seconds": config.duration_seconds,
-        "warmup_seconds": config.warmup_seconds,
-        "shedding_interval": config.shedding_interval,
-        "stw_seconds": config.stw_seconds,
-        "shedder": config.shedder,
-        "capacity_fraction": config.capacity_fraction,
-        "network_latency_seconds": config.network_latency_seconds,
-        "enable_sic_updates": config.enable_sic_updates,
-        "coordinator_update_interval": config.coordinator_update_interval,
-        "columnar": config.columnar,
-        "columnar_backend": config.columnar_backend,
-        "runtime": config.runtime,
-        "node_shedding_intervals": dict(config.node_shedding_intervals),
-        "checkpoint_interval": config.checkpoint_interval,
-        "reliable_delivery": config.reliable_delivery,
-        "heartbeat_interval": config.heartbeat_interval,
-        "heartbeat_timeout_intervals": config.heartbeat_timeout_intervals,
-        "result_accounting": config.result_accounting,
-        "max_ingress_tuples": config.max_ingress_tuples,
-        "ingress_high_fraction": config.ingress_high_fraction,
-        "ingress_low_fraction": config.ingress_low_fraction,
-        "retain_result_values": config.retain_result_values,
-        "max_result_values": config.max_result_values,
-        "seed": config.seed,
+        name: dict(value)
+        for name, value in vars(config).items()
+        if isinstance(value, dict)
     }
     values.update(overrides)
-    return SimulationConfig(**values)
+    return replace(config, **values)
 
 
 @dataclass
@@ -234,7 +216,6 @@ def build_federation(
         columnar=config.columnar,
         retain_results=config.retain_result_values,
         max_retained_results=config.max_result_values,
-        result_accounting=config.result_accounting,
     )
     shedder_kind = shedder_name or config.shedder
     for index, node_id in enumerate(node_ids):

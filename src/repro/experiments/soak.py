@@ -124,7 +124,6 @@ def build_soak_federation(
             UniformLatency(base.network_latency_seconds),
             reliability=ReliabilityConfig(),
         ),
-        result_accounting=True,
     )
 
     def node_factory(node_id: str) -> FspsNode:

@@ -47,11 +47,12 @@ class QueryCoordinator:
         max_retained_results: cap on retained result payloads per query; when
             the cap is reached the oldest payloads are discarded.  ``None``
             keeps every payload (the pre-bounding behaviour).
-        result_accounting: run arriving result batches through the
-            exactly-once :class:`~repro.state.ledger.ResultLedger` — crash
-            replay below the acknowledged ``(fragment, epoch, seq)``
-            watermark is deduplicated before it reaches the tracker, and
-            watermark gaps are accounted as lost to the crash.
+
+    Arriving result batches always run through the exactly-once
+    :class:`~repro.state.ledger.ResultLedger`: crash replay below the
+    acknowledged ``(fragment, epoch, seq)`` watermark is deduplicated before
+    it reaches the tracker, and watermark gaps are accounted as lost to the
+    crash.
     """
 
     def __init__(
@@ -62,7 +63,6 @@ class QueryCoordinator:
         home_node: str = "coordinator",
         retain_results: bool = False,
         max_retained_results: Optional[int] = None,
-        result_accounting: bool = True,
     ) -> None:
         if update_interval <= 0:
             raise ValueError(f"update_interval must be positive, got {update_interval}")
@@ -80,9 +80,7 @@ class QueryCoordinator:
         self.result_values: Deque[Dict[str, object]] = deque(
             maxlen=max_retained_results
         )
-        self.ledger: Optional[ResultLedger] = (
-            ResultLedger() if result_accounting else None
-        )
+        self.ledger = ResultLedger()
         self.updates_sent = 0
         self._last_update_time: Optional[float] = None
 
@@ -96,8 +94,7 @@ class QueryCoordinator:
 
     def on_result(self, batch: Batch, now: float) -> None:
         """Handle a result batch received from the query's root fragment."""
-        ledger = self.ledger
-        if ledger is not None and ledger.observe(
+        if self.ledger.observe(
             batch.origin_fragment_id,
             batch.origin_epoch,
             batch.origin_seq,
@@ -122,8 +119,7 @@ class QueryCoordinator:
 
     def accounted_tuples(self) -> int:
         """Recorded plus deduplicated result tuples (the loss-audit total)."""
-        deduped = self.ledger.deduped_tuples if self.ledger is not None else 0
-        return self.result_tuples + deduped
+        return self.result_tuples + self.ledger.deduped_tuples
 
     def current_sic(self, now: float) -> float:
         return self.tracker.current_sic(now)
@@ -174,11 +170,7 @@ class QueryCoordinator:
             "updates_sent": self.updates_sent,
             "last_update_time": self._last_update_time,
             "tracker": self.tracker.snapshot_state(),
-            "ledger": (
-                self.ledger.snapshot_state()
-                if self.ledger is not None
-                else None
-            ),
+            "ledger": self.ledger.snapshot_state(),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
@@ -199,15 +191,10 @@ class QueryCoordinator:
         self.updates_sent = state["updates_sent"]
         self._last_update_time = state["last_update_time"]
         self.tracker.restore_state(state["tracker"])
-        if self.ledger is not None:
-            ledger_state = state.get("ledger")
-            if ledger_state is not None:
-                # Rolls back in sympathy with the tracker: arrivals the
-                # failed coordinator saw after this snapshot re-deliver (or
-                # surface as lost) against the restored watermarks.
-                self.ledger.restore_state(ledger_state)
-            else:
-                self.ledger = ResultLedger()
+        # Rolls back in sympathy with the tracker: arrivals the failed
+        # coordinator saw after this snapshot re-deliver (or surface as lost)
+        # against the restored watermarks.
+        self.ledger.restore_state(state["ledger"])
 
 
 class CoordinatorRegistry:
@@ -219,13 +206,11 @@ class CoordinatorRegistry:
         update_interval: float = 0.25,
         retain_results: bool = False,
         max_retained_results: Optional[int] = None,
-        result_accounting: bool = True,
     ) -> None:
         self.stw_config = stw_config
         self.update_interval = update_interval
         self.retain_results = retain_results
         self.max_retained_results = max_retained_results
-        self.result_accounting = result_accounting
         self._coordinators: Dict[str, QueryCoordinator] = {}
         # Coordinator-layer durable stores: the latest fragment checkpoints
         # (fragment id -> envelope; node rejoin restores from these) and the
@@ -243,7 +228,6 @@ class CoordinatorRegistry:
                 update_interval=self.update_interval,
                 retain_results=self.retain_results,
                 max_retained_results=self.max_retained_results,
-                result_accounting=self.result_accounting,
             )
         return self._coordinators[query_id]
 
@@ -330,7 +314,6 @@ class CoordinatorRegistry:
             update_interval=self.update_interval,
             retain_results=self.retain_results,
             max_retained_results=self.max_retained_results,
-            result_accounting=self.result_accounting,
         )
         # The standby snapshot is consumed by the promotion: keeping it
         # would only grow the store with state the promoted coordinator now

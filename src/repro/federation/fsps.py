@@ -51,7 +51,7 @@ from ..core.fairness import FairnessSummary, summarize_fairness
 from ..core.sic import SicAssigner
 from ..core.stw import StwConfig
 from ..core.tuples import Batch, Tuple
-from ..streaming.fused import fused_execution_active
+from ..streaming import fused
 from ..streaming.query import QueryFragment
 from .coordinator import CoordinatorRegistry, QueryCoordinator
 from .network import (
@@ -190,7 +190,6 @@ class FederatedSystem:
         columnar: bool = True,
         retain_results: bool = False,
         max_retained_results: Optional[int] = None,
-        result_accounting: bool = True,
     ) -> None:
         if shedding_interval <= 0:
             raise ValueError(
@@ -211,7 +210,6 @@ class FederatedSystem:
             update_interval=update_interval,
             retain_results=retain_results,
             max_retained_results=max_retained_results,
-            result_accounting=result_accounting,
         )
         self.nodes: Dict[str, FspsNode] = {}
         self.queries: Dict[str, DeployedQuery] = {}
@@ -242,7 +240,6 @@ class FederatedSystem:
         # ``result_tuples_lost_to_crash`` (coordinator failover rollback) or
         # ``result_tuples_retired`` (query undeployed) — so the identity
         # closes at *any* instant, not only after a drain.
-        self.result_accounting = result_accounting
         self.result_tuples_arrived = 0
         self.dropped_result_tuples = 0
         self.result_tuples_lost_to_crash = 0
@@ -390,7 +387,7 @@ class FederatedSystem:
             if not lost:
                 del self._lost_placement[node_id]
         coordinator = self.coordinators.get(query_id)
-        if coordinator is not None and self.result_accounting:
+        if coordinator is not None:
             # The coordinator's counters leave the live sum with it; keep
             # the tuple-closure identity balanced by retiring them.
             self.result_tuples_retired += coordinator.accounted_tuples()
@@ -724,14 +721,13 @@ class FederatedSystem:
         if query is None:
             raise ValueError(f"query {query_id!r} is not deployed")
         failed, promoted = self.coordinators.fail_over(query_id)
-        if self.result_accounting:
-            # Result tuples the failed coordinator accounted beyond the
-            # promoted standby's restored state died with it — the ledger
-            # books them as crash loss so the tuple-closure identity keeps
-            # holding against the rolled-back live counters.
-            self.result_tuples_lost_to_crash += max(
-                0, failed.accounted_tuples() - promoted.accounted_tuples()
-            )
+        # Result tuples the failed coordinator accounted beyond the promoted
+        # standby's restored state died with it — the ledger books them as
+        # crash loss so the tuple-closure identity keeps holding against the
+        # rolled-back live counters.
+        self.result_tuples_lost_to_crash += max(
+            0, failed.accounted_tuples() - promoted.accounted_tuples()
+        )
         promoted.hosting_nodes = {
             self.placement[fragment_id]
             for fragment_id in query.fragments
@@ -816,8 +812,6 @@ class FederatedSystem:
         not yet acknowledged (in flight during a run, crash-lost or
         transport-expired after a drain).
         """
-        if not self.result_accounting:
-            return {"enabled": False}
         recorded = 0
         deduped = 0
         lost_gap_batches = 0
@@ -825,8 +819,6 @@ class FederatedSystem:
         for coordinator in self.coordinators.all():
             recorded += coordinator.result_tuples
             ledger = coordinator.ledger
-            if ledger is None:
-                continue
             deduped += ledger.deduped_tuples
             lost_gap_batches += ledger.lost_batches
             lane_problems.extend(ledger.check_closure())
@@ -837,7 +829,7 @@ class FederatedSystem:
             coordinator = self.coordinators.get(query_id)
             acked = (
                 coordinator.ledger.acked(fragment_id, epoch)
-                if coordinator is not None and coordinator.ledger is not None
+                if coordinator is not None
                 else 0
             )
             tail_batches += max(0, seq - acked)
@@ -846,7 +838,7 @@ class FederatedSystem:
         residual = 0
         for query in self.queries.values():
             coordinator = self.coordinators.get(query.query_id)
-            if coordinator is None or coordinator.ledger is None:
+            if coordinator is None:
                 continue
             for fragment in query.fragments.values():
                 if not fragment.is_root:
@@ -865,7 +857,6 @@ class FederatedSystem:
             - self.result_tuples_retired
         )
         return {
-            "enabled": True,
             "arrived_tuples": arrived,
             "recorded_tuples": recorded,
             "deduped_tuples": deduped,
@@ -900,15 +891,15 @@ class FederatedSystem:
         """
         columnar = self.columnar
         # Fused source generation (generate → SIC assignment → pacing in one
-        # columnar pass per source) rides the same flag as fused fragment
-        # execution, so fusion=off runs are the untouched staged pipeline
-        # end to end.  The emitted stream is bit-identical either way.
-        fused = columnar and fused_execution_active()
+        # columnar pass per source) rides the same predicate as fused
+        # fragment execution, read through the module so one substitution
+        # yields the staged pipeline end to end.  The emitted stream is
+        # bit-identical either way.
         assigner = query.sic_assigner
         query_id = query.query_id
         generate_block = route.generate_block
         if columnar and generate_block is not None:
-            if fused and route.generate_fused is not None:
+            if route.generate_fused is not None and fused.fused_execution_active():
                 block = route.generate_fused(start, end)
             else:
                 block = generate_block(start, end)
@@ -1030,19 +1021,16 @@ class FederatedSystem:
             node.on_batch(message.batch)
         elif isinstance(message, ResultMessage):
             batch = message.batch
-            accounting = self.result_accounting
-            if accounting:
-                self.result_tuples_arrived += len(batch)
+            self.result_tuples_arrived += len(batch)
             query = self.queries.get(batch.query_id)
             if query is None or batch.created_at <= query.deployed_at:
                 self.dispatch_dropped += 1
-                if accounting:
-                    self.dropped_result_tuples += len(batch)
+                self.dropped_result_tuples += len(batch)
                 return
             coordinator = self.coordinators.get(batch.query_id)
             if coordinator is not None:
                 coordinator.on_result(batch, now)
-            elif accounting:
+            else:
                 self.dropped_result_tuples += len(batch)
         elif isinstance(message, SicUpdateMessage):
             node = self.nodes.get(message.destination)

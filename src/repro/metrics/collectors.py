@@ -20,7 +20,6 @@ __all__ = [
     "MetricsCollector",
     "summarize_backpressure",
     "summarize_network",
-    "summarize_result_accounting",
 ]
 
 
@@ -71,15 +70,6 @@ def summarize_backpressure(system) -> Dict[str, object]:
         "engagements": sum(e["engagements"] for e in per_node.values()),
         "per_node": per_node,
     }
-
-
-def summarize_result_accounting(system) -> Dict[str, object]:
-    """The federation's exactly-once result ledger closure.
-
-    Thin alias of :meth:`FederatedSystem.result_accounting_report`, kept
-    here so run summaries source all their sections from one module.
-    """
-    return system.result_accounting_report()
 
 
 @dataclass

@@ -127,8 +127,7 @@ class MemoryWatch:
             coord_events += coordinator.tracker.window_event_count()
             coord_history += coordinator.tracker.history_size()
             retained += len(coordinator.result_values)
-            if coordinator.ledger is not None:
-                lanes += coordinator.ledger.lane_count
+            lanes += coordinator.ledger.lane_count
         counts["coordinator_tracker_window_events"] = coord_events
         counts["coordinator_tracker_history_samples"] = coord_history
         counts["ledger_lanes"] = lanes

@@ -48,13 +48,11 @@ __all__ = [
     "time_aggregate_v2",
     "time_join_topk",
     "time_end_to_end_v2",
-    "time_end_to_end_fused",
     "time_migration",
     "run_end_to_end",
     "time_end_to_end",
     "time_runtime",
     "time_reliability",
-    "time_result_accounting",
     "run_sharded_scenario",
     "time_sharded",
     "run_microbench",
@@ -717,53 +715,22 @@ def time_end_to_end_v2(
     shedder → windows → operators → coordinator, event runtime), at
     paper-scale source rates under mild overload; see the V2_END_TO_END_*
     constants.  Results are bit-identical across backends, so the ratio
-    isolates the column representation end to end.  Fusion is off on both
-    sides: the numpy-vs-list ratio keeps its staged-vs-staged meaning (the
-    fused ratio is measured separately by :func:`time_end_to_end_fused`).
+    isolates the execution path the backend selects end to end: the numpy
+    side includes fused fragment execution, the list side always runs staged.
     """
     params = dict(
         num_queries=V2_END_TO_END_QUERIES,
         rate=V2_END_TO_END_RATE,
         capacity_fraction=V2_END_TO_END_CAPACITY,
         dataset=V2_END_TO_END_DATASET,
-        columnar_backend=backend,
-        fusion="off",
     )
     params.update(kwargs)
-    seconds, result = run_end_to_end(**params)
+    with use_backend(backend):
+        seconds, result = run_end_to_end(**params)
     # Mild but real overload: the shedder must actually participate.
     assert any(s.shed_tuples > 0 for s in result.node_summaries)
     if registry is not None:
         registry.record(f"end_to_end_v2.{backend}", seconds)
-    return seconds
-
-
-def time_end_to_end_fused(
-    fusion: str = "on",
-    registry: Optional[PerfRegistry] = None,
-    **kwargs,
-) -> float:
-    """Seconds for one paper-scale macro run under one fusion mode.
-
-    Same scenario as :func:`time_end_to_end_v2` on the numpy backend; the
-    ``fusion="on"`` / ``fusion="off"`` ratio isolates the fragment plan
-    compiler (fused single-pass prefix vs staged per-operator dispatch).
-    Results are bit-identical across modes, so the ratio is pure execution
-    cost.
-    """
-    params = dict(
-        num_queries=V2_END_TO_END_QUERIES,
-        rate=V2_END_TO_END_RATE,
-        capacity_fraction=V2_END_TO_END_CAPACITY,
-        dataset=V2_END_TO_END_DATASET,
-        columnar_backend="numpy",
-        fusion=fusion,
-    )
-    params.update(kwargs)
-    seconds, result = run_end_to_end(**params)
-    assert any(s.shed_tuples > 0 for s in result.node_summaries)
-    if registry is not None:
-        registry.record(f"end_to_end_fused.{fusion}", seconds)
     return seconds
 
 
@@ -849,10 +816,7 @@ def run_end_to_end(
     runtime: str = "event",
     capacity_fraction: float = 0.5,
     dataset: str = "gaussian",
-    columnar_backend: Optional[str] = None,
-    fusion: str = "on",
     reliable_delivery: bool = False,
-    result_accounting: bool = True,
     seed: int = 0,
 ):
     """Run the end-to-end macro-benchmark scenario and return
@@ -876,11 +840,8 @@ def run_end_to_end(
         warmup_seconds=warmup_seconds,
         capacity_fraction=capacity_fraction,
         columnar=columnar,
-        columnar_backend=columnar_backend,
-        fusion=fusion,
         runtime=runtime,
         reliable_delivery=reliable_delivery,
-        result_accounting=result_accounting,
         retain_result_values=True,
         seed=seed,
     )
@@ -970,29 +931,6 @@ def time_reliability(
     assert any(s.shed_tuples > 0 for s in result.node_summaries)
     if registry is not None:
         name = "reliability.on" if reliable else "reliability.off"
-        registry.record(name, seconds)
-    return seconds
-
-
-def time_result_accounting(
-    accounting: bool = True,
-    registry: Optional[PerfRegistry] = None,
-    **kwargs,
-) -> float:
-    """Seconds for one end-to-end run with or without result accounting.
-
-    Same macro-benchmark scenario as :func:`time_end_to_end`, varying only
-    ``SimulationConfig.result_accounting``.  With no crashes the ledger only
-    ever advances watermarks (nothing is deduplicated), so the runs are
-    result-identical and the ratio is the pure bookkeeping cost of stamping
-    and lane updates — required to stay within 10% (asserted in
-    ``benchmarks/test_bench_micro.py`` and recorded in the ``faults`` section
-    of ``BENCH_shedding.json``).
-    """
-    seconds, result = run_end_to_end(result_accounting=accounting, **kwargs)
-    assert any(s.shed_tuples > 0 for s in result.node_summaries)
-    if registry is not None:
-        name = "result_accounting.on" if accounting else "result_accounting.off"
         registry.record(name, seconds)
     return seconds
 
@@ -1361,30 +1299,6 @@ def run_microbench(
         "speedup": rows_ms / block_ms,
     }
 
-    # Fused fragment execution: the plan compiler's single-pass prefix
-    # against staged v2 on the identical paper-scale scenario (numpy backend
-    # both sides, results bit-identical).  Best-of-3: the macro run is tens
-    # of milliseconds and the gated ratio must be stable.
-    e2e_fused = (
-        min(time_end_to_end_fused("on", registry=registry) for _ in range(3))
-        * 1e3
-    )
-    e2e_staged = (
-        min(time_end_to_end_fused("off", registry=registry) for _ in range(3))
-        * 1e3
-    )
-    results["fused"] = {
-        "end_to_end": {
-            "queries": V2_END_TO_END_QUERIES,
-            "rate": V2_END_TO_END_RATE,
-            "capacity_fraction": V2_END_TO_END_CAPACITY,
-            "dataset": V2_END_TO_END_DATASET,
-            "fused_ms": e2e_fused,
-            "staged_ms": e2e_staged,
-            "speedup": e2e_staged / e2e_fused,
-        },
-    }
-
     # Checkpoint/restore of a heavily-buffered window (the state volume a
     # fragment migration moves).  The gated quantity is the roundtrip's cost
     # *relative to building the same state through the columnar pipeline* —
@@ -1428,29 +1342,12 @@ def run_microbench(
     # ratio is pure transport bookkeeping).  Gated at ≤10% like the runtime.
     rel_off = min(time_reliability(False, registry=registry) for _ in range(2)) * 1e3
     rel_on = min(time_reliability(True, registry=registry) for _ in range(2)) * 1e3
-    # Exactly-once result accounting on a crash-free run: same macro scenario,
-    # varying only `result_accounting` (stamping always happens; the ledger's
-    # lane updates are the measured delta).  Gated at ≤10% like the above.
-    acct_off = (
-        min(time_result_accounting(False, registry=registry) for _ in range(2))
-        * 1e3
-    )
-    acct_on = (
-        min(time_result_accounting(True, registry=registry) for _ in range(2))
-        * 1e3
-    )
     results["faults"] = {
         "reliability": {
             "queries": END_TO_END_QUERIES,
             "off_ms": rel_off,
             "on_ms": rel_on,
             "overhead_pct": (rel_on / rel_off - 1.0) * 100.0,
-        },
-        "exactly_once": {
-            "queries": END_TO_END_QUERIES,
-            "off_ms": acct_off,
-            "on_ms": acct_on,
-            "overhead_pct": (acct_on / acct_off - 1.0) * 100.0,
         },
     }
 

@@ -14,9 +14,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..core.columns import BACKENDS
 from ..core.stw import StwConfig
-from ..streaming.fused import FUSION_MODES
 
 __all__ = ["SimulationConfig", "RUNTIMES"]
 
@@ -34,7 +32,7 @@ def _default_runtime() -> str:
 
     Lets CI run the whole tier-1 suite under the sharded driver
     (``REPRO_RUNTIME=sharded``) without touching each test's config, the
-    same pattern as ``REPRO_COLUMNAR_BACKEND`` / ``REPRO_FUSION``.
+    same pattern as ``REPRO_COLUMNAR_BACKEND``.
     """
     value = os.environ.get("REPRO_RUNTIME", "").strip().lower()
     if not value:
@@ -89,19 +87,20 @@ class SimulationConfig:
         columnar: run the columnar tick pipeline (vectorized source
             generation, SIC stamping and window bucketing).  Result-identical
             to the per-tuple path for equal seeds; disable to time or
-            differentially test the tuple-at-a-time reference path.
-        columnar_backend: column storage for the columnar pipeline —
-            ``"numpy"`` (float64 ndarrays, the columnar v2 kernels) or
-            ``"list"`` (plain Python lists, the pre-v2 implementation kept as
-            oracle and NumPy-free fallback).  ``None`` (default) uses the
-            process-wide default (:func:`repro.core.columns.get_default_backend`,
-            overridable via the ``REPRO_COLUMNAR_BACKEND`` environment
-            variable).  Seeded runs are bit-exact result-identical across
-            backends; the simulator scopes the setting to the run.
+            differentially test the tuple-at-a-time reference path.  Column
+            storage (NumPy or plain lists) and fused fragment execution are
+            not configured here: they follow the process-wide columnar backend
+            (:mod:`repro.core.columns`), and every seeded run is bit-exact
+            result-identical across them.
         runtime: execution driver — ``"event"`` (the discrete-event runtime,
-            default) or ``"lockstep"`` (the original global tick loop, kept as
-            the equivalence oracle).  Seeded homogeneous-interval runs are
-            result-identical under both.
+            default), ``"lockstep"`` (the original global tick loop, kept as
+            the equivalence oracle) or ``"sharded"`` (the event runtime
+            partitioned by site into per-shard schedulers).  Seeded
+            homogeneous-interval runs are result-identical under all three.
+        workers / shard_partition: shard count of the sharded driver and
+            optional node id → shard overrides.
+        sharded_processes: run the sharded driver's shards in a forked
+            worker pool instead of inline.
         node_shedding_intervals: per-node shedding-interval overrides (node
             id → seconds), honoured by the event runtime only — the lockstep
             loop is homogeneous by construction.
@@ -124,10 +123,6 @@ class SimulationConfig:
             arrives and the detector never acts.
         heartbeat_timeout_intervals: silent sweeps before a node is declared
             dead (detection timeout = interval × this).
-        result_accounting: maintain the coordinator-side result ledger that
-            deduplicates replayed root-fragment output after crash recovery
-            and accounts checkpoint-gap losses (exactly-once results).  On by
-            default; the off-path exists so the overhead can be timed.
         max_ingress_tuples: bound on each node's ingress buffer (tuples).
             ``None`` (default) leaves ingress unbounded, matching the
             pre-backpressure behaviour.  When set, sources are paced against
@@ -137,15 +132,6 @@ class SimulationConfig:
             for backpressure as fractions of ``max_ingress_tuples`` —
             pacing engages when occupancy reaches the high watermark and
             releases once it drains to the low one.
-        fusion: fused fragment execution — ``"on"`` (default) compiles
-            fusible linear fragments (receiver → annotated filters → tumbling
-            aggregate → output) into single-pass columnar plans
-            (:mod:`repro.streaming.fused`); ``"off"`` forces the staged
-            operator-at-a-time pipeline everywhere.  Fusion only ever
-            activates on the numpy columnar backend (the list backend always
-            runs staged, as the equivalence oracle) and is bit-exact
-            result-identical to the staged path for equal seeds.  The
-            simulator scopes the setting to the run, like the backend.
         retain_result_values: keep every result tuple's payload on the query
             coordinators (needed by the SIC-correlation experiments, which
             align degraded and perfect runs window by window).  Off by
@@ -166,8 +152,6 @@ class SimulationConfig:
     enable_sic_updates: bool = True
     coordinator_update_interval: Optional[float] = None
     columnar: bool = True
-    columnar_backend: Optional[str] = None
-    fusion: str = "on"
     runtime: str = field(default_factory=_default_runtime)
     workers: int = field(default_factory=_default_workers)
     sharded_processes: bool = False
@@ -177,7 +161,6 @@ class SimulationConfig:
     reliable_delivery: bool = False
     heartbeat_interval: Optional[float] = None
     heartbeat_timeout_intervals: int = 3
-    result_accounting: bool = True
     max_ingress_tuples: Optional[int] = None
     ingress_high_fraction: float = 0.8
     ingress_low_fraction: float = 0.5
@@ -228,15 +211,6 @@ class SimulationConfig:
                 "sharded_processes cannot run heartbeat failure detection "
                 "(the detector schedules control events after the workers "
                 "fork); use inline shards (sharded_processes=False)"
-            )
-        if self.columnar_backend is not None and self.columnar_backend not in BACKENDS:
-            raise ValueError(
-                f"columnar_backend must be one of {BACKENDS} or None, "
-                f"got {self.columnar_backend!r}"
-            )
-        if self.fusion not in FUSION_MODES:
-            raise ValueError(
-                f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}"
             )
         for node_id, interval in self.node_shedding_intervals.items():
             if interval <= 0:

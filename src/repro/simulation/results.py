@@ -63,7 +63,7 @@ class RunResult:
     backpressure: Dict[str, object] = field(default_factory=dict)
     # Exactly-once result-ledger closure (FederatedSystem.result_accounting_report):
     # arrived == recorded + deduped + dropped + lost_to_crash + retired.
-    result_accounting: Dict[str, object] = field(default_factory=dict)
+    ledger: Dict[str, object] = field(default_factory=dict)
     extra: Dict[str, object] = field(default_factory=dict)
 
     # --------------------------------------------------------------- fairness

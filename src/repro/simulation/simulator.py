@@ -14,14 +14,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..core.columns import get_default_backend, use_backend
 from ..federation.fsps import FederatedSystem
-from ..streaming.fused import use_fusion
-from ..metrics.collectors import (
-    summarize_backpressure,
-    summarize_network,
-    summarize_result_accounting,
-)
+from ..metrics.collectors import summarize_backpressure, summarize_network
 from ..perf import PerfRegistry, Stopwatch
 from ..runtime import EventRuntime, FailureDetector, ShardedRuntime
 from .clock import SimulationClock
@@ -59,19 +53,7 @@ class Simulator:
         self.clock = SimulationClock(config.shedding_interval)
 
     def run(self) -> RunResult:
-        """Execute warm-up plus measurement period and summarise the run.
-
-        The columnar backend (``config.columnar_backend``) and the fusion
-        mode (``config.fusion``) are scoped to the run: blocks built while
-        the simulation executes use the configured storage, fragments compile
-        (or decline) fused plans per the configured mode, and the
-        process-wide defaults are restored afterwards.
-        """
-        backend = self.config.columnar_backend or get_default_backend()
-        with use_backend(backend), use_fusion(self.config.fusion):
-            return self._run()
-
-    def _run(self) -> RunResult:
+        """Execute warm-up plus measurement period and summarise the run."""
         timer: Optional[Callable[[], float]] = (
             time.perf_counter if self.measure_shedder_time else None
         )
@@ -172,5 +154,5 @@ class Simulator:
             result_values=result_values,
             network=summarize_network(self.system.network),
             backpressure=summarize_backpressure(self.system),
-            result_accounting=summarize_result_accounting(self.system),
+            ledger=self.system.result_accounting_report(),
         )

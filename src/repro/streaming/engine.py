@@ -87,7 +87,6 @@ class LocalEngine:
             columnar=self.config.columnar,
             retain_results=self.config.retain_result_values,
             max_retained_results=self.config.max_result_values,
-            result_accounting=self.config.result_accounting,
         )
         node = FspsNode(
             node_id=self.node_id,

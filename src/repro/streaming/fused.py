@@ -41,18 +41,20 @@ a payload column the filters cannot vectorize) without moving data:
 :meth:`FusedPlan.run_prefix` validates the tick's buffered input *before*
 touching any state and simply declines when it is not fusible.
 
-The fusion switch mirrors the columnar backend registry: process-wide
-(``set_fusion`` / ``use_fusion``), seeded from ``REPRO_FUSION`` (default
-``"on"``), surfaced as ``SimulationConfig.fusion`` and scoped by the
-simulator around each run.  The list backend always runs staged — it is the
-NumPy-free equivalence oracle.
+Selection
+---------
+There is no fusion switch: fused execution is active whenever NumPy is
+importable and the numpy columnar backend is active
+(:func:`fused_execution_active`), and then every fusible fragment runs its
+plan.  The list backend always runs staged — it is the NumPy-free fallback
+and equivalence oracle.  Callers read the predicate through this module, so
+the differential suites reach the staged reference on the numpy backend by
+substituting that one function.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Tuple as PyTuple
+from typing import Optional, Sequence, Tuple as PyTuple
 
 try:  # Guarded: the list backend (and its CI leg) works without NumPy.
     import numpy as np
@@ -71,56 +73,19 @@ else:  # pragma: no cover - stripped installs never activate fusion
     _kernels = None
 
 __all__ = [
-    "FUSION_MODES",
     "FusedPlan",
     "compile_fused_plan",
     "fused_execution_active",
-    "fusion_enabled",
-    "set_fusion",
-    "use_fusion",
 ]
-
-FUSION_MODES = ("on", "off")
-
-_fusion_mode = os.environ.get("REPRO_FUSION", "on")
-if _fusion_mode not in FUSION_MODES:  # pragma: no cover - defensive env handling
-    raise ValueError(
-        f"REPRO_FUSION must be one of {FUSION_MODES}, got {_fusion_mode!r}"
-    )
-
-
-def fusion_enabled() -> bool:
-    """True when fused fragment execution is switched on process-wide."""
-    return _fusion_mode == "on"
-
-
-def set_fusion(mode: str) -> str:
-    """Set the process-wide fusion mode; returns the previous mode."""
-    global _fusion_mode
-    if mode not in FUSION_MODES:
-        raise ValueError(f"fusion mode must be one of {FUSION_MODES}, got {mode!r}")
-    previous = _fusion_mode
-    _fusion_mode = mode
-    return previous
-
-
-@contextmanager
-def use_fusion(mode: str) -> Iterator[None]:
-    """Scope the fusion mode to a ``with`` block (mirrors ``use_backend``)."""
-    previous = set_fusion(mode)
-    try:
-        yield
-    finally:
-        set_fusion(previous)
 
 
 def fused_execution_active() -> bool:
-    """Fusion is on *and* the numpy columnar backend is the process default.
+    """NumPy is importable *and* the numpy columnar backend is active.
 
     The list backend always runs staged: it doubles as the NumPy-free
     fallback and the equivalence oracle for the differential suites.
     """
-    return _fusion_mode == "on" and np is not None and get_default_backend() == "numpy"
+    return np is not None and get_default_backend() == "numpy"
 
 
 # Exact types only: subclasses may override _process/_compute with semantics

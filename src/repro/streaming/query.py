@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple as PyTuple
 from ..core.columns import ColumnBlock
 from ..core.tuples import Batch, Tuple
 from ..state.checkpoint import CheckpointError
-from .fused import compile_fused_plan, fused_execution_active
+from . import fused
 from .operators.base import Emitted, Operator
 
 __all__ = ["Edge", "QueryGraph", "QueryFragment", "FragmentOutput"]
@@ -364,10 +364,10 @@ class QueryFragment:
 
     def _fused_plan(self):
         """The fragment's compiled fused plan, or ``None`` (staged only)."""
-        if not fused_execution_active():
+        if not fused.fused_execution_active():
             return None
         if not self._fused_checked:
-            self._fused_plan_cache = compile_fused_plan(self)
+            self._fused_plan_cache = fused.compile_fused_plan(self)
             self._fused_checked = True
         return self._fused_plan_cache
 

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (tiny configurations for speed)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.experiments import cli
@@ -15,6 +17,7 @@ from repro.experiments.testbeds import (
     scaled_config,
     workload_scale_factors,
 )
+from repro.simulation.config import SimulationConfig
 from repro.experiments import (
     churn,
     migration,
@@ -73,6 +76,50 @@ class TestTestbeds:
         other = config_with(config, capacity_fraction=0.123)
         assert other.capacity_fraction == 0.123
         assert other.duration_seconds == config.duration_seconds
+
+    def test_config_with_keeps_every_field_and_shares_no_dict(self):
+        common = dict(
+            duration_seconds=7.0,
+            warmup_seconds=2.0,
+            shedding_interval=0.5,
+            stw_seconds=6.0,
+            shedder="random",
+            capacity_fraction=0.3,
+            network_latency_seconds=0.05,
+            enable_sic_updates=False,
+            coordinator_update_interval=1.0,
+            columnar=False,
+            workers=5,
+            shard_partition={"node-0": 4},
+            node_shedding_intervals={"node-0": 0.5},
+            checkpoint_interval=2.0,
+            reliable_delivery=True,
+            heartbeat_timeout_intervals=5,
+            max_ingress_tuples=100,
+            ingress_high_fraction=0.9,
+            ingress_low_fraction=0.4,
+            retain_result_values=True,
+            max_result_values=10,
+            seed=5,
+        )
+        # The fork pool cannot run heartbeat detection, so the two go into
+        # separate configs; between them every field is off its default.
+        configs = [
+            SimulationConfig(runtime="sharded", sharded_processes=True, **common),
+            SimulationConfig(runtime="lockstep", heartbeat_interval=0.5, **common),
+        ]
+        defaults = SimulationConfig()
+        for f in fields(SimulationConfig):
+            assert any(
+                getattr(c, f.name) != getattr(defaults, f.name) for c in configs
+            ), f.name
+        for config in configs:
+            copy = config_with(config)
+            for f in fields(SimulationConfig):
+                value = getattr(config, f.name)
+                assert getattr(copy, f.name) == value, f.name
+                if isinstance(value, dict):
+                    assert getattr(copy, f.name) is not value, f.name
 
     def test_asymmetric_latency_matrix_skews_per_direction(self):
         nodes = ["node-0", "node-1", "node-2"]

@@ -11,6 +11,15 @@ def result_batch(query="q", sic=0.1, ts=1.0):
     return Batch(query, [Tuple(ts, sic, {"avg": 42.0})])
 
 
+def stamped_batch(seq, query="q", fragment="f0", epoch=0):
+    """A root-fragment result batch stamped with its ledger coordinates."""
+    batch = Batch(query, [Tuple(float(seq), 0.1, {"avg": 42.0})])
+    batch.origin_fragment_id = fragment
+    batch.origin_epoch = epoch
+    batch.origin_seq = seq
+    return batch
+
+
 class TestQueryCoordinator:
     def test_records_results_and_tracks_sic(self):
         coordinator = QueryCoordinator("q", StwConfig(10.0, 1.0), retain_results=True)
@@ -64,6 +73,45 @@ class TestQueryCoordinator:
         coordinator.snapshot(now=1.0)
         coordinator.snapshot(now=2.0)
         assert len(coordinator.tracker.history) == 2
+
+
+class TestExactlyOnceLedger:
+    """Every coordinator runs its results through the exactly-once ledger."""
+
+    def test_replayed_batch_is_deduplicated(self):
+        coordinator = QueryCoordinator("q", StwConfig(10.0, 1.0))
+        coordinator.on_result(stamped_batch(1), now=1.0)
+        coordinator.on_result(stamped_batch(1), now=1.1)  # crash replay
+        assert coordinator.result_tuples == 1
+        assert coordinator.ledger.deduped_tuples == 1
+        assert coordinator.accounted_tuples() == 2
+
+    def test_restore_rolls_the_ledger_back_with_the_tracker(self):
+        coordinator = QueryCoordinator("q", StwConfig(10.0, 1.0))
+        coordinator.on_result(stamped_batch(1), now=1.0)
+        state = coordinator.snapshot_state(now=1.0)
+        coordinator.on_result(stamped_batch(2), now=2.0)
+        coordinator.restore_state(state)
+        assert coordinator.result_tuples == 1
+        assert coordinator.ledger.acked("f0", 0) == 1
+        # The arrival after the snapshot re-delivers instead of deduplicating.
+        coordinator.on_result(stamped_batch(2), now=2.5)
+        assert coordinator.result_tuples == 2
+        assert coordinator.ledger.deduped_tuples == 0
+
+    def test_promoted_standby_carries_the_checkpointed_ledger(self):
+        registry = CoordinatorRegistry(StwConfig(10.0, 1.0))
+        registry.coordinator("q").on_result(stamped_batch(1), now=1.0)
+        registry.checkpoint_coordinator("q", now=1.0)
+        registry.coordinator("q").on_result(stamped_batch(2), now=2.0)
+        _, promoted = registry.fail_over("q")
+        assert promoted.ledger.acked("f0", 0) == 1
+        promoted.on_result(stamped_batch(1), now=2.5)
+        assert promoted.ledger.deduped_tuples == 1
+        # The standby was consumed: a second failover starts a blank ledger.
+        _, blank = registry.fail_over("q")
+        assert blank.ledger.acked("f0", 0) == 0
+        assert blank.ledger.lane_count == 0
 
 
 class TestCoordinatorRegistry:

@@ -19,6 +19,7 @@ networks, bursty sources and a live mid-run fragment migration.
 
 import pytest
 
+from repro.core.columns import use_backend
 from repro.core.shedding import BalanceSicShedder, make_shedder
 from repro.core.stw import StwConfig
 from repro.federation.fsps import FederatedSystem
@@ -124,7 +125,6 @@ def run_local_backend(backend, latency=0.005, bursty=False):
         warmup_seconds=1.0,
         capacity_fraction=0.5,
         columnar=True,
-        columnar_backend=backend,
         network_latency_seconds=latency,
         retain_result_values=True,
         seed=0,
@@ -140,7 +140,8 @@ def run_local_backend(backend, latency=0.005, bursty=False):
 
             query.sources = [BurstySource(s, seed=i) for s in query.sources]
         engine.add_query(query)
-    return engine.run()
+    with use_backend(backend):
+        return engine.run()
 
 
 def assert_runs_identical(a, b):
@@ -181,8 +182,6 @@ class TestBackendIdentity:
         assert numpy_run.result_values == reference.result_values
 
     def test_complex_workload_identical_across_backends(self):
-        from repro.core.columns import use_backend
-
         with use_backend("numpy"):
             numpy_system = run_federated(True)
         with use_backend("list"):
@@ -239,8 +238,6 @@ class TestBackendMigrationIdentity:
         return system
 
     def run_with_migration(self, backend):
-        from repro.core.columns import use_backend
-
         with use_backend(backend):
             system = self.build_system()
             runtime = EventRuntime(system)

@@ -1,11 +1,13 @@
 """End-to-end differential tests: fused fragment execution ≡ staged pipeline.
 
 The acceptance bar for the fragment plan compiler is the same oracle pattern
-as the columnar v2 work, extended with the fusion axis: for equal seeds a
-``fusion="on"`` run must reproduce the ``fusion="off"`` (staged v2) run's
+as the columnar v2 work, extended with the execution axis: for equal seeds
+the default (fused) numpy run must reproduce the staged v2 run's
 ``RunResult`` exactly — per-query SIC values, result payloads, shed/kept
 counters and network accounting — which also closes the oracle chain through
-the list backend and the seed per-tuple pipeline.  Covered scenarios:
+the list backend and the seed per-tuple pipeline.  The staged reference comes
+from the ``staged_execution`` fixture, and :class:`TestStagedReference`
+proves it really is staged.  Covered scenarios:
 
 * the aggregate workload (avg/max/count, including the Having-count) plus a
   Where-filtered average that exercises the fused mask ladder, across
@@ -19,18 +21,20 @@ the list backend and the seed per-tuple pipeline.  Covered scenarios:
 
 import pytest
 
+from repro.core.columns import use_backend
 from repro.core.shedding import make_shedder
 from repro.core.stw import StwConfig
 from repro.federation.fsps import FederatedSystem
 from repro.federation.network import Network, UniformLatency
 from repro.federation.node import FspsNode
+from repro.perf.microbench import run_end_to_end
 from repro.runtime import EventRuntime
 from repro.simulation.config import SimulationConfig
 from repro.streaming.cql import compile_query
 from repro.streaming.engine import LocalEngine
-from repro.streaming.fused import use_fusion
+from repro.streaming.fused import FusedPlan
 from repro.workloads.aggregate import make_aggregate_query
-from repro.workloads.sources import BurstySource, ValueSource
+from repro.workloads.sources import BurstySource, StreamSource, ValueSource
 from repro.workloads.spec import WorkloadQuery
 
 FILTERED_STATEMENT = "Select Avg(t.v) From Src[Range 1 sec] Where t.v >= 20"
@@ -54,14 +58,12 @@ def make_filtered_query(query_id, rate=173.3, dataset="uniform", seed=0):
     )
 
 
-def run_local(fusion, latency=0.005, bursty=False, columnar=True, backend=None):
+def run_local(latency=0.005, bursty=False, columnar=True):
     config = SimulationConfig(
         duration_seconds=4.0,
         warmup_seconds=1.0,
         capacity_fraction=0.5,
         columnar=columnar,
-        columnar_backend=backend,
-        fusion=fusion,
         network_latency_seconds=latency,
         retain_result_values=True,
         seed=0,
@@ -96,37 +98,95 @@ def assert_runs_identical(a, b):
     assert a.bytes_sent == b.bytes_sent
 
 
+@pytest.fixture
+def fused_calls(monkeypatch):
+    """Count the fused entry points: plan prefixes and fused source blocks."""
+    calls = {"run_prefix": 0, "generate_block_fused": 0}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(FusedPlan, "run_prefix")
+    spy(StreamSource, "generate_block_fused")
+    return calls
+
+
+class TestStagedReference:
+    """The fixture's run really is staged.  Without this, a fused == staged
+    differential could quietly compare fused with fused."""
+
+    def test_default_numpy_run_takes_fused_paths(self, fused_calls):
+        with use_backend("numpy"):
+            run_local()
+        assert fused_calls["run_prefix"] > 0
+        assert fused_calls["generate_block_fused"] > 0
+
+    def test_staged_execution_takes_no_fused_path(
+        self, fused_calls, staged_execution
+    ):
+        with use_backend("numpy"), staged_execution():
+            run_local()
+        assert fused_calls == {"run_prefix": 0, "generate_block_fused": 0}
+
+    def test_list_backend_run_takes_no_fused_path(self, fused_calls):
+        # The simulator runs on whatever backend is active around it.
+        with use_backend("list"):
+            run_local()
+        assert fused_calls == {"run_prefix": 0, "generate_block_fused": 0}
+
+
 class TestFusedLocalIdentity:
     """Fused runs ≡ staged v2 runs, bit for bit, with real overload/shedding."""
 
     @pytest.mark.parametrize(
         "latency", [0.005, 0.075, 0.0], ids=["lan", "wan", "zero"]
     )
-    def test_identical_across_networks(self, latency):
-        fused = run_local("on", latency=latency)
-        staged = run_local("off", latency=latency)
+    def test_identical_across_networks(self, latency, staged_execution):
+        fused = run_local(latency=latency)
+        with staged_execution():
+            staged = run_local(latency=latency)
         assert_runs_identical(fused, staged)
 
-    def test_identical_with_bursty_sources(self):
-        fused = run_local("on", bursty=True)
-        staged = run_local("off", bursty=True)
+    def test_identical_with_bursty_sources(self, staged_execution):
+        fused = run_local(bursty=True)
+        with staged_execution():
+            staged = run_local(bursty=True)
         assert_runs_identical(fused, staged)
 
     def test_fused_matches_list_backend_oracle(self):
-        # The list backend always runs staged; fusion="on" there is a no-op,
-        # closing the chain fused ≡ staged-numpy ≡ staged-list.
-        fused = run_local("on", backend="numpy")
-        list_run = run_local("on", backend="list")
+        # The list backend always runs staged, closing the chain
+        # fused ≡ staged-numpy ≡ staged-list.
+        with use_backend("numpy"):
+            fused = run_local()
+        with use_backend("list"):
+            list_run = run_local()
         assert_runs_identical(fused, list_run)
 
     def test_fused_matches_per_tuple_pipeline(self):
-        fused = run_local("on")
-        per_tuple = run_local("off", columnar=False)
+        fused = run_local()
+        per_tuple = run_local(columnar=False)
         assert fused.per_query_sic == per_tuple.per_query_sic
         assert fused.result_values == per_tuple.result_values
 
+    def test_fused_result_identical(self, staged_execution):
+        """The microbench macro scenario (scaled down, numpy backend): the
+        fused run reproduces the staged run exactly."""
+        kwargs = dict(num_queries=10, rate=200.0, duration_seconds=3.0)
+        with use_backend("numpy"):
+            _, fused = run_end_to_end(**kwargs)
+            with staged_execution():
+                _, staged = run_end_to_end(**kwargs)
+        assert fused.per_query_sic == staged.per_query_sic
+        assert fused.result_values == staged.result_values
+
     def test_shedding_and_filtering_actually_happened(self):
-        result = run_local("on")
+        result = run_local()
         assert any(s.shed_tuples > 0 for s in result.node_summaries)
         # The Where-filtered queries produced results through the mask stage.
         assert any(q.startswith("fq") for q in result.per_query_sic)
@@ -195,20 +255,20 @@ class TestFusedMigrationIdentity:
     prefix keeps all state in the staged window layout, so the checkpoint
     envelope is representation-identical and the run matches staged."""
 
-    def run_with_migration(self, fusion):
-        with use_fusion(fusion):
-            system = make_system()
-            runtime = EventRuntime(system)
-            runtime.run(4.0)
-            fragment_id = next(iter(system.queries["fq0"].fragments))
-            runtime.migrate_fragment(fragment_id, "node-1")
-            runtime.run(4.0)
-            runtime.close()
-            return query_results(system)
+    def run_with_migration(self):
+        system = make_system()
+        runtime = EventRuntime(system)
+        runtime.run(4.0)
+        fragment_id = next(iter(system.queries["fq0"].fragments))
+        runtime.migrate_fragment(fragment_id, "node-1")
+        runtime.run(4.0)
+        runtime.close()
+        return query_results(system)
 
-    def test_migration_mid_run_identical_across_fusion_modes(self):
-        fused = self.run_with_migration("on")
-        staged = self.run_with_migration("off")
+    def test_migration_mid_run_identical_fused_and_staged(self, staged_execution):
+        fused = self.run_with_migration()
+        with staged_execution():
+            staged = self.run_with_migration()
         assert fused == staged
         assert all(results[1] > 0 for results in fused.values())
 
@@ -217,28 +277,26 @@ class TestFusedFailRejoinIdentity:
     """Crash + checkpointed rejoin behaves identically fused and staged, and
     the tuple ledger closes (nothing lost or double-counted) either way."""
 
-    def run_with_fail_rejoin(self, fusion):
-        with use_fusion(fusion):
-            system = make_system()
-            runtime = EventRuntime(system, checkpoint_interval=INTERVAL)
-            runtime.run(4.0)
-            runtime.fail_node("node-1")
-            runtime.run(2.0)
-            report = runtime.rejoin_node(make_node("node-1", seed=9))
-            assert report.restored_fragments
-            assert not report.fragments_without_checkpoint
-            runtime.run(4.0)
-            runtime.close()
-            received = system.total_received_tuples()
-            kept = sum(n.stats.kept_tuples for n in system.nodes.values())
-            shed = system.total_shed_tuples()
-            buffered = sum(
-                n.input_buffer_size() for n in system.nodes.values()
-            )
-            return query_results(system), (received, kept, shed, buffered)
+    def run_with_fail_rejoin(self):
+        system = make_system()
+        runtime = EventRuntime(system, checkpoint_interval=INTERVAL)
+        runtime.run(4.0)
+        runtime.fail_node("node-1")
+        runtime.run(2.0)
+        report = runtime.rejoin_node(make_node("node-1", seed=9))
+        assert report.restored_fragments
+        assert not report.fragments_without_checkpoint
+        runtime.run(4.0)
+        runtime.close()
+        received = system.total_received_tuples()
+        kept = sum(n.stats.kept_tuples for n in system.nodes.values())
+        shed = system.total_shed_tuples()
+        buffered = sum(n.input_buffer_size() for n in system.nodes.values())
+        return query_results(system), (received, kept, shed, buffered)
 
-    def test_fail_rejoin_identical_across_fusion_modes(self):
-        fused, fused_ledger = self.run_with_fail_rejoin("on")
-        staged, staged_ledger = self.run_with_fail_rejoin("off")
+    def test_fail_rejoin_identical_fused_and_staged(self, staged_execution):
+        fused, fused_ledger = self.run_with_fail_rejoin()
+        with staged_execution():
+            staged, staged_ledger = self.run_with_fail_rejoin()
         assert fused == staged
         assert fused_ledger == staged_ledger

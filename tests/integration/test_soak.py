@@ -66,7 +66,6 @@ def soak_run():
             {
                 c.query_id: c.ledger.watermarks()
                 for c in system.coordinators.all()
-                if c.ledger is not None
             }
         )
         store_sizes.append(
@@ -103,7 +102,6 @@ class TestSoakCycles:
 
     def test_final_ledger_closes_and_replays_were_exercised(self, soak_run):
         final = soak_run["final"]
-        assert final["enabled"] is True
         assert final["unaccounted_tuples"] == 0
         assert final["lane_problems"] == []
         # The coprime crash/checkpoint cadences guarantee real checkpoint
@@ -169,7 +167,7 @@ class TestSoakCycles:
 
 # --------------------------------------------------- targeted recovery shapes
 def make_accounted_system(num_nodes=2, queries=2, budget=500.0, latency=0.005):
-    """Under-capacity federation with reliable delivery + result accounting.
+    """Under-capacity federation with reliable delivery.
 
     Below capacity the shedder RNG is never consulted, so a rejoined node
     (fresh shedder, same seed) behaves identically to its predecessor and
@@ -183,7 +181,6 @@ def make_accounted_system(num_nodes=2, queries=2, budget=500.0, latency=0.005):
             UniformLatency(latency), reliability=ReliabilityConfig()
         ),
         retain_results=True,
-        result_accounting=True,
     )
 
     def node_factory(node_id):

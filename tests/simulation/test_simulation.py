@@ -134,6 +134,24 @@ class TestSimulatorAndLocalEngine:
         assert result.messages_sent > 0
         assert all(len(series) > 0 for series in result.sic_time_series.values())
 
+    def test_fault_free_run_closes_the_result_ledger(self):
+        config = SimulationConfig(
+            duration_seconds=3.0, warmup_seconds=1.0, stw_seconds=2.0,
+            capacity_fraction=0.5, seed=4,
+        )
+        engine = LocalEngine(config)
+        engine.add_queries(
+            make_cov_query(query_id=f"led-{i}", num_fragments=2, rate=60.0, seed=i)
+            for i in range(2)
+        )
+        ledger = engine.run().ledger
+        assert "enabled" not in ledger
+        assert ledger["recorded_tuples"] > 0
+        assert ledger["unaccounted_tuples"] == 0
+        assert ledger["deduped_tuples"] == 0
+        assert ledger["lost_to_crash_tuples"] == 0
+        assert ledger["lane_problems"] == []
+
     def test_local_engine_requires_queries(self):
         with pytest.raises(ValueError):
             LocalEngine().run()

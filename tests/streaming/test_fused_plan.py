@@ -2,21 +2,13 @@
 
 Covers the structural fusibility rules of :func:`compile_fused_plan`, the
 per-tick fallback contract of :meth:`FusedPlan.run_prefix` (decline without
-touching state) and the fusion registry switches.
+touching state) and how fused execution is selected.
 """
-
-import pytest
 
 from repro.core.columns import ColumnBlock, use_backend
 from repro.core.tuples import Batch, Tuple
-from repro.streaming.fused import (
-    FUSION_MODES,
-    compile_fused_plan,
-    fused_execution_active,
-    fusion_enabled,
-    set_fusion,
-    use_fusion,
-)
+from repro.streaming import fused
+from repro.streaming.fused import compile_fused_plan, fused_execution_active
 from repro.streaming.operators import (
     Average,
     Filter,
@@ -71,32 +63,30 @@ def source_block(values, start=0.1, sic=0.1):
     )
 
 
-class TestFusionRegistry:
-    def test_modes_and_default(self):
-        assert FUSION_MODES == ("on", "off")
-        assert fusion_enabled() in (True, False)
-
-    def test_set_and_scope(self):
-        previous = set_fusion("off")
-        try:
-            assert not fusion_enabled()
-            with use_fusion("on"):
-                assert fusion_enabled()
-            assert not fusion_enabled()
-        finally:
-            set_fusion(previous)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            set_fusion("sometimes")
+class TestFusionSelection:
+    def test_numpy_backend_fuses(self):
+        with use_backend("numpy"):
+            assert fused_execution_active()
 
     def test_list_backend_never_fuses(self):
-        with use_fusion("on"), use_backend("list"):
+        with use_backend("list"):
             assert not fused_execution_active()
 
-    def test_off_never_fuses(self):
-        with use_fusion("off"):
+    def test_without_numpy_never_fuses(self, monkeypatch):
+        monkeypatch.setattr(fused, "np", None)
+        with use_backend("numpy"):
             assert not fused_execution_active()
+
+    def test_staged_execution_is_scoped_to_its_block(self, staged_execution):
+        # The fragment reads the predicate on every tick, so one fragment
+        # runs staged inside the block and compiles its plan after it.
+        fragment = build_fragment()
+        with use_backend("numpy"):
+            with staged_execution():
+                assert not fused.fused_execution_active()
+                assert fragment._fused_plan() is None
+            assert fused.fused_execution_active()
+            assert fragment._fused_plan() is not None
 
 
 class TestPlanCompilation:
@@ -162,7 +152,7 @@ class TestPlanCompilation:
 
     def test_rewiring_invalidates_cached_plan(self):
         fragment = build_fragment()
-        with use_fusion("on"), use_backend("numpy"):
+        with use_backend("numpy"):
             first = fragment._fused_plan()
             assert first is not None
             fragment.finalize()  # re-finalize: the cached plan must be rebuilt
@@ -201,25 +191,20 @@ class TestRunPrefixFallback:
         plan.receiver._windows[0].insert_block(block, 0, 2)
         assert plan.run_prefix(fragment, now=2.0) is False
 
-    def test_staged_and_fused_fragment_results_match(self):
-        results = {}
-        for mode in ("on", "off"):
+    def test_staged_and_fused_fragment_results_match(self, staged_execution):
+        def run(fused_plan):
             fragment = build_fragment(
                 filters=[Filter.field_threshold("v", ">=", 1.0)]
             )
-            with use_fusion(mode), use_backend("numpy"):
-                block = source_block([0.0, 1.0, 2.0, 3.0])
-                plan = fragment._fused_plan()
-                if mode == "on":
-                    assert plan is not None
-                else:
-                    assert plan is None
-                receiver = fragment.operators[fragment._order[0]]
-                receiver.ingest_block(block)
-                out = fragment.process(now=2.0)
+            assert (fragment._fused_plan() is not None) == fused_plan
+            receiver = fragment.operators[fragment._order[0]]
+            receiver.ingest_block(source_block([0.0, 1.0, 2.0, 3.0]))
+            out = fragment.process(now=2.0)
             assert len(out.results) == 1
-            results[mode] = (
-                out.results[0].tuples[0].values,
-                out.results[0].tuples[0].sic,
-            )
-        assert results["on"] == results["off"]
+            return out.results[0].tuples[0].values, out.results[0].tuples[0].sic
+
+        with use_backend("numpy"):
+            fused = run(fused_plan=True)
+            with staged_execution():
+                staged = run(fused_plan=False)
+        assert fused == staged
