@@ -17,6 +17,7 @@ paths; run ``scripts/bench_report.py`` to refresh ``BENCH_shedding.json``.
 """
 
 import os
+import statistics
 
 import pytest
 
@@ -85,8 +86,14 @@ JOIN_TOPK_SPEEDUP_FLOOR = 5.0
 # queries at overload factor 2).  The piece-free shedder took its wall time
 # from ~610 to ~340 ms, so a fixed cost or a scheduler hiccup of 20 ms now
 # reads 6% instead of 3% (the reliable channel's measured ~20 ms went from
-# 3-5% to 5-7%): each side is best-of-3 to keep the same ceilings meaningful.
-MACRO_GATE_REPEATS = 3
+# 3-5% to 5-7%).  On a shared 2-CPU machine single runs of these ~60-150 ms
+# scenarios swing by ±15%, more than the margin under each ceiling, and a
+# ratio of per-side minima read the reliable channel's ~7% as >10% in about
+# one gate in ten (one lucky run on the cheap side suffices).  The gates
+# therefore time the two sides back to back in 9 pairs and take the median
+# of the pairs' ratios (see `paired_overhead`), which reads it as 5-8%.
+# Ceilings unchanged.
+MACRO_GATE_REPEATS = 9
 # The discrete-event runtime must stay within 10% of the lockstep loop end
 # to end (ISSUE 3 acceptance criterion; observed ~5-7% on the recording
 # machine — see the `runtime` section of BENCH_shedding.json).
@@ -103,14 +110,11 @@ RELIABILITY_OVERHEAD_CEILING = 0.10
 # about as much as one pipeline pass over the state it moves — see the
 # `migration` section of BENCH_shedding.json).
 MIGRATION_ROUNDTRIP_CEILING = 4.0
-# Sharded multi-core federation (PR 9 acceptance criteria, `sharded` section
-# of BENCH_shedding.json).  Inline shards pay the per-site scheduler + merge
-# bookkeeping in a single process (observed ~15-20% on the recording
-# machine); the ceiling leaves headroom for scheduler noise.  The
-# multiprocess floor is the ≥2×-at-4-workers target — parallel speedup
-# scales with available cores, so that gate only arms on ≥4-CPU machines.
+# Sharded federation (`sharded` section of BENCH_shedding.json).  Inline
+# shards pay the per-site scheduler + merge bookkeeping in a single process
+# (observed ~25-29% on a 2-CPU machine); the ceiling leaves headroom for
+# scheduler noise.
 SHARDED_INLINE_OVERHEAD_CEILING = 0.35
-SHARDED_MULTIPROCESS_SPEEDUP_FLOOR = 2.0
 
 # Wall-clock ratio assertions are meaningless on heavily throttled shared
 # runners; REPRO_SKIP_PERF_ASSERT=1 keeps the kernels running (so the code
@@ -124,6 +128,23 @@ skip_perf_asserts = pytest.mark.skipif(
 def best_of(n, func, **kwargs):
     """Best-of-``n`` timing: robust against scheduler noise in assertions."""
     return min(func(**kwargs) for _ in range(n))
+
+
+def paired_overhead(n, base, variant):
+    """Relative overhead of ``variant`` over ``base``: the median, over ``n``
+    back-to-back (base, variant) runs, of ``variant / base - 1``.
+
+    The two runs of a pair are a fraction of a second apart, so a load change
+    on the machine hits both; the median discards the pairs a hiccup hit on
+    one side only.  Returns ``(overhead, best base, best variant)``, the
+    best-of runs for the failure message.
+    """
+    bases, variants = [], []
+    for _ in range(n):
+        bases.append(base())
+        variants.append(variant())
+    ratios = [v / b for b, v in zip(bases, variants)]
+    return statistics.median(ratios) - 1.0, min(bases), min(variants)
 
 
 class TestSelectionBenchmarks:
@@ -439,9 +460,11 @@ class TestRuntimeBenchmarks:
 
     @skip_perf_asserts
     def test_event_runtime_overhead_within_budget(self):
-        event = best_of(MACRO_GATE_REPEATS, time_runtime)
-        lockstep = best_of(MACRO_GATE_REPEATS, time_runtime, use_lockstep=True)
-        overhead = event / lockstep - 1.0
+        overhead, lockstep, event = paired_overhead(
+            MACRO_GATE_REPEATS,
+            lambda: time_runtime(use_lockstep=True),
+            time_runtime,
+        )
         assert overhead <= RUNTIME_OVERHEAD_CEILING, (
             f"event runtime overhead {overhead * 100:.1f}% exceeds the "
             f"{RUNTIME_OVERHEAD_CEILING * 100:.0f}% budget vs lockstep; "
@@ -473,9 +496,11 @@ class TestReliabilityBenchmarks:
 
     @skip_perf_asserts
     def test_reliability_overhead_within_budget(self):
-        off = best_of(MACRO_GATE_REPEATS, time_reliability, reliable=False)
-        on = best_of(MACRO_GATE_REPEATS, time_reliability, reliable=True)
-        overhead = on / off - 1.0
+        overhead, off, on = paired_overhead(
+            MACRO_GATE_REPEATS,
+            lambda: time_reliability(reliable=False),
+            lambda: time_reliability(reliable=True),
+        )
         assert overhead <= RELIABILITY_OVERHEAD_CEILING, (
             f"reliable delivery overhead {overhead * 100:.1f}% exceeds the "
             f"{RELIABILITY_OVERHEAD_CEILING * 100:.0f}% budget on a loss-free "
@@ -516,14 +541,17 @@ class TestShardedBenchmarks:
 
     @skip_perf_asserts
     def test_inline_merge_overhead_within_budget(self):
-        # Best-of-3 like the other macro gates: the complex workload this
-        # scenario runs got ~2x faster when Union and the join went columnar
-        # (event ~250 -> ~130 ms), so the unchanged ~20 ms of per-site
-        # scheduler + merge bookkeeping reads ~16% instead of ~8% and a
-        # best-of-2 hiccup tripped the ceiling once; ceiling unchanged.
-        event = min(time_sharded("event")[0] for _ in range(MACRO_GATE_REPEATS))
-        inline = min(time_sharded("inline")[0] for _ in range(MACRO_GATE_REPEATS))
-        overhead = inline / event - 1.0
+        # Paired like the other macro gates: the complex workload this
+        # scenario runs got ~4x faster when Union and the join went columnar
+        # (event ~250 -> ~60 ms), so the unchanged ~18 ms of per-site
+        # scheduler + merge bookkeeping reads ~25-29%, and a best-of-3 timed
+        # one side after the other tripped the ceiling on machine noise;
+        # ceiling unchanged.
+        overhead, event, inline = paired_overhead(
+            MACRO_GATE_REPEATS,
+            lambda: time_sharded("event")[0],
+            lambda: time_sharded("inline")[0],
+        )
         assert overhead <= SHARDED_INLINE_OVERHEAD_CEILING, (
             f"inline shard overhead {overhead * 100:.1f}% exceeds the "
             f"{SHARDED_INLINE_OVERHEAD_CEILING * 100:.0f}% budget vs the "
@@ -531,35 +559,8 @@ class TestShardedBenchmarks:
             f"inline={inline * 1e3:.0f} ms"
         )
 
-    @pytest.mark.skipif(
-        not hasattr(os, "fork"), reason="worker pool requires os.fork"
-    )
-    @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 4,
-        reason="parallel speedup gate needs >= 4 CPUs "
-        f"(os.cpu_count()={os.cpu_count()})",
-    )
-    @skip_perf_asserts
-    def test_multiprocess_speedup_at_4_workers(self):
-        event = min(
-            time_sharded("event", workers=SHARDED_WORKERS)[0]
-            for _ in range(2)
-        )
-        multiprocess = min(
-            time_sharded("multiprocess", workers=SHARDED_WORKERS)[0]
-            for _ in range(2)
-        )
-        speedup = event / multiprocess
-        assert speedup >= SHARDED_MULTIPROCESS_SPEEDUP_FLOOR, (
-            f"multiprocess speedup {speedup:.2f}x at {SHARDED_WORKERS} "
-            f"workers is below the {SHARDED_MULTIPROCESS_SPEEDUP_FLOOR}x "
-            f"floor; event={event * 1e3:.0f} ms "
-            f"multiprocess={multiprocess * 1e3:.0f} ms "
-            f"(cpus={os.cpu_count()})"
-        )
-
     def test_sharded_result_identical(self):
-        """Same seeds -> every driver computes the same run (scaled-down
+        """Same seeds -> both drivers compute the same run (scaled-down
         scenario; the fingerprint is per-query SIC + message accounting)."""
         kwargs = dict(
             num_nodes=4, num_queries=6, rate=40.0, duration_seconds=2.0
@@ -567,8 +568,3 @@ class TestShardedBenchmarks:
         _, event = time_sharded("event", **kwargs)
         _, inline = time_sharded("inline", **kwargs)
         assert inline == event
-        if hasattr(os, "fork"):
-            _, multiprocess = time_sharded(
-                "multiprocess", workers=2, **kwargs
-            )
-            assert multiprocess == event

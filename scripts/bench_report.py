@@ -145,11 +145,6 @@ def build_report(quick: bool = False) -> dict:
     # scenario, ~1.0): both sides run in one process, so the ratio is the
     # machine-independent cost of per-site shards + the deterministic
     # boundary merge, and --compare catches it blowing up in a later PR.
-    # The multiprocess speedup is recorded in the `sharded` section of
-    # `current` (with `cpu_count` alongside) but deliberately NOT gated
-    # here: parallel speedup depends on the machine's cores, and the
-    # ≥2×@4-workers acceptance gate lives in benchmarks/test_bench_micro.py
-    # behind an os.cpu_count() >= 4 guard.
     sharded = results["sharded"]
     speedups["sharded_event_vs_inline"] = round(
         sharded["event_ms"] / sharded["inline_ms"], 2

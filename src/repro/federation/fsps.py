@@ -422,24 +422,6 @@ class FederatedSystem:
         is what makes a seeded run with a graceful migration result-identical
         to the same run without it (``tests/integration/test_migration.py``).
         """
-        fragment, checkpoint = self.extract_fragment_for_migration(
-            fragment_id, target_node_id
-        )
-        return self.apply_fragment_migration(fragment, checkpoint, target_node_id)
-
-    def extract_fragment_for_migration(
-        self, fragment_id: str, target_node_id: str
-    ):
-        """Step 1 of a migration: validate, drain and detach at the source.
-
-        Split out of :meth:`migrate_fragment` so a distributed driver (the
-        multiprocess sharded runtime) can run the extraction on the replica
-        that owns the source node, ship ``(fragment, checkpoint)`` over the
-        wire, and apply the rest everywhere.  Returns the detached fragment
-        plus its :class:`~repro.state.FragmentCheckpoint`; the placement
-        table still points at the source until
-        :meth:`apply_fragment_migration` runs.
-        """
         source_id = self.placement.get(fragment_id)
         if source_id is None:
             raise ValueError(f"fragment {fragment_id!r} is not placed")
@@ -464,15 +446,6 @@ class FederatedSystem:
         checkpoint = source.checkpoint_fragment(
             fragment_id, now=self.now, detach=True
         )
-        return fragment, checkpoint
-
-    def apply_fragment_migration(
-        self, fragment, checkpoint, target_node_id: str
-    ) -> MigrationReport:
-        """Steps 2–3 of a migration: reroute the plan and resume at the target."""
-        fragment_id = fragment.fragment_id
-        source_id = self.placement[fragment_id]
-        source = self.nodes[source_id]
         target = self.nodes[target_node_id]
         query = self.queries[fragment.query_id]
         # 2. reroute: new sends (sources and upstream fragments) target B;

@@ -446,11 +446,6 @@ class Network:
         # on a shard queue; the sharded runtime schedules the matching
         # delivery event on the owning shard's scheduler from here.
         self.enqueue_listener: Optional[Callable[[_InFlight, int], None]] = None
-        # Invoked as ``shard_sink(entry, shard)`` *before* an entry lands on
-        # a shard queue; returning True consumes it (no local queue, no
-        # enqueue listener).  Worker processes intercept traffic bound for
-        # shards they do not own here (the boundary outbox).
-        self.shard_sink: Optional[Callable[[_InFlight, int], bool]] = None
         # ``(deliver_at, sequence)`` of the in-flight entry currently being
         # processed by the delivery path, or None.  Sends performed while
         # processing a delivery (acks, placement forwards, retransmits) use
@@ -569,10 +564,9 @@ class Network:
             heapq.heappush(self._queue, entry)
         else:
             shard = self._shard_router(entry)
-            if self.shard_sink is None or not self.shard_sink(entry, shard):
-                heapq.heappush(self._shard_queues[shard], entry)
-                if self.enqueue_listener is not None:
-                    self.enqueue_listener(entry, shard)
+            heapq.heappush(self._shard_queues[shard], entry)
+            if self.enqueue_listener is not None:
+                self.enqueue_listener(entry, shard)
         if self.send_listener is not None:
             self.send_listener(message, deliver_at)
 

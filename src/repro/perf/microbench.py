@@ -15,7 +15,6 @@ observed every 0.25 s shedding interval).
 from __future__ import annotations
 
 import gc
-import os
 import random
 from typing import Dict, List, Mapping, Optional, Tuple as PyTuple
 
@@ -938,7 +937,6 @@ def time_reliability(
 def run_sharded_scenario(
     runtime: str = "event",
     workers: int = SHARDED_WORKERS,
-    processes: bool = False,
     num_nodes: int = SHARDED_NODES,
     num_queries: int = SHARDED_QUERIES,
     rate: float = SHARDED_RATE,
@@ -953,8 +951,8 @@ def run_sharded_scenario(
     deployment, where sharding has nothing to partition) this builds a
     WAN federation of ``num_nodes`` sites sharing a complex workload, the
     deployment shape the sharded runtime exists for.  With equal seeds
-    the single-heap event driver, inline shards and the multiprocessing
-    worker pool are result-identical (the differential suite in
+    the single-heap event driver and the sharded driver are
+    result-identical (the differential suite in
     ``tests/integration/test_sharded_runtime.py`` asserts it bit for
     bit), so a timing difference isolates exactly the execution driver.
     """
@@ -971,7 +969,6 @@ def run_sharded_scenario(
         network_latency_seconds=latency_seconds,
         runtime=runtime,
         workers=workers,
-        sharded_processes=processes and runtime == "sharded",
         seed=seed,
     )
     spec = WorkloadSpec(
@@ -998,34 +995,23 @@ def time_sharded(
 ):
     """Seconds for one federation macro-run under one execution driver.
 
-    ``mode`` selects the driver: ``"event"`` (single heap), ``"inline"``
-    (per-site shards merged in-process) or ``"multiprocess"`` (shards on
-    forked workers).  Returns ``(seconds, fingerprint)`` where the
-    fingerprint collects the run's observable outcome (per-query SIC and
-    message accounting) so callers can assert the modes computed the same
-    run before trusting a ratio between their timings.
-
-    The inline-vs-event ratio is machine-independent bookkeeping overhead;
-    the multiprocess speedup is *not* — it scales with available cores, so
-    consumers must record ``os.cpu_count()`` alongside and gate on it.
+    ``mode`` selects the driver: ``"event"`` (single heap) or ``"inline"``
+    (per-site shards merged in-process).  Returns ``(seconds,
+    fingerprint)`` where the fingerprint collects the run's observable
+    outcome (per-query SIC and message accounting) so callers can assert
+    the modes computed the same run before trusting a ratio between their
+    timings.  The inline-vs-event ratio is machine-independent bookkeeping
+    overhead.
     """
     if mode == "event":
-        seconds, result = run_sharded_scenario(
-            runtime="event", workers=workers, **kwargs
-        )
+        runtime = "event"
     elif mode == "inline":
-        seconds, result = run_sharded_scenario(
-            runtime="sharded", workers=workers, processes=False, **kwargs
-        )
-    elif mode == "multiprocess":
-        seconds, result = run_sharded_scenario(
-            runtime="sharded", workers=workers, processes=True, **kwargs
-        )
+        runtime = "sharded"
     else:
-        raise ValueError(
-            "mode must be 'event', 'inline' or 'multiprocess', got "
-            f"{mode!r}"
-        )
+        raise ValueError(f"mode must be 'event' or 'inline', got {mode!r}")
+    seconds, result = run_sharded_scenario(
+        runtime=runtime, workers=workers, **kwargs
+    )
     fingerprint = (
         result.per_query_sic,
         result.messages_sent,
@@ -1351,43 +1337,28 @@ def run_microbench(
         },
     }
 
-    # Sharded multi-core federation: the multi-site WAN macro-scenario under
-    # the single-heap event driver, inline shards, and (where fork exists)
-    # the multiprocessing worker pool.  Fingerprints are compared so the
-    # recorded ratios are between runs proven to compute the same result.
-    # Inline-vs-event overhead is machine-independent and gated by
-    # `--compare`; the multiprocess speedup scales with available cores, so
-    # `cpu_count` is recorded alongside and the ≥2×@4-workers acceptance
-    # gate (benchmarks/test_bench_micro.py) only arms on ≥4-CPU machines.
-    sharded_ms: Dict[str, Optional[float]] = {"multiprocess": None}
+    # Sharded federation: the multi-site WAN macro-scenario under the
+    # single-heap event driver and inline shards.  Fingerprints are compared
+    # so the recorded ratio is between runs proven to compute the same
+    # result.  Inline-vs-event overhead is machine-independent and gated by
+    # `--compare`.
+    sharded_ms: Dict[str, float] = {}
     fingerprints: Dict[str, object] = {}
-    modes = [("event", 2), ("inline", 2)]
-    if hasattr(os, "fork"):
-        modes.append(("multiprocess", 1))
-    for mode, repeats in modes:
+    for mode in ("event", "inline"):
         laps = []
-        for _ in range(repeats):
+        for _ in range(2):
             seconds, fingerprints[mode] = time_sharded(mode, registry=registry)
             laps.append(seconds)
         sharded_ms[mode] = min(laps) * 1e3
-    for mode in fingerprints:
-        assert fingerprints[mode] == fingerprints["event"], mode
-    multiprocess_ms = sharded_ms["multiprocess"]
+    assert fingerprints["inline"] == fingerprints["event"]
     results["sharded"] = {
         "nodes": SHARDED_NODES,
         "queries": SHARDED_QUERIES,
         "workers": SHARDED_WORKERS,
-        "cpu_count": os.cpu_count(),
         "event_ms": sharded_ms["event"],
         "inline_ms": sharded_ms["inline"],
-        "multiprocess_ms": multiprocess_ms,
         "inline_overhead_pct": (
             (sharded_ms["inline"] / sharded_ms["event"] - 1.0) * 100.0
-        ),
-        "multiprocess_speedup": (
-            None
-            if multiprocess_ms is None
-            else sharded_ms["event"] / multiprocess_ms
         ),
     }
     return results

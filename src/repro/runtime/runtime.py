@@ -287,6 +287,8 @@ class EventRuntime:
                     f"duration must be positive, got {duration_seconds}"
                 )
             ticks = max(1, int(round(duration_seconds / self.default_interval)))
+        elif ticks < 1:
+            raise ValueError(f"ticks must be at least 1, got {ticks}")
         for _ in range(ticks):
             self._horizon += self.default_interval
         self.scheduler.run_until(self._horizon)

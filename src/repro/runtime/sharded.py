@@ -1,24 +1,18 @@
-"""Sharded multi-core federation driver.
+"""Sharded federation driver.
 
 The single-heap :class:`~repro.runtime.runtime.EventRuntime` drives every
-site from one scheduler, so a fig12-style scale-out saturates one core.
-This module partitions the federation **by site**: each shard owns a subset
-of the nodes (and the fragments, shedders and estimators they host), runs
-them on its own :class:`~repro.runtime.scheduler.EventScheduler`, and
-synchronises with the other shards only where the paper's sites themselves
-interact — the network.
+site from one scheduler.  This module partitions the federation **by
+site**: each shard owns a subset of the nodes (and the fragments, shedders
+and estimators they host), runs them on its own
+:class:`~repro.runtime.scheduler.EventScheduler`, and synchronises with the
+other shards only where the paper's sites themselves interact — the
+network.
 
-Two execution modes share all of the code:
-
-* **inline** (default): every shard scheduler lives in this process and the
-  run loop executes them sequentially window by window.  Nothing is
-  serialized, every lifecycle feature works (fault injection, heartbeat
-  detection, mid-run deploys), and the mode exists to make the windowed
-  schedule itself debuggable and differentially testable.
-* **multiprocess**: shards are executed by forked worker processes
-  (`multiprocessing`, one process per worker, several shards per worker
-  allowed); boundary messages cross process borders through the PR 4 state
-  serializers (:mod:`repro.state.wire`).
+Every shard scheduler lives in this process and the run loop executes them
+sequentially window by window.  Nothing is serialized and every lifecycle
+feature works (fault injection, heartbeat detection, mid-run deploys); the
+driver makes the windowed schedule and its deterministic merge order
+debuggable and differentially testable against ``runtime="event"``.
 
 Conservative time-windowing
 ---------------------------
@@ -26,14 +20,13 @@ All shards repeatedly execute the same half-open window ``[T, T+L)`` where
 ``L = latency_model.min_latency()`` is the minimum latency between distinct
 endpoints.  A message sent inside the window is delivered at
 ``send_time + latency >= T + L``, i.e. never inside the window itself, so
-shards cannot influence each other mid-window and may run in any order —
-or in parallel.  Window ends that carry *global* events (fault injections,
-failure-detector sweeps, federation-wide checkpoint rounds, the run
-horizon) are **barrier instants**: the instant is phase-stepped across all
+shards cannot influence each other mid-window and may run in any order.
+Window ends that carry *global* events (fault injections, failure-detector
+sweeps, federation-wide checkpoint rounds, the run horizon) are **barrier instants**: the instant is phase-stepped across all
 shards priority by priority (FAULT → SOURCE → DELIVERY → NODE →
 COORDINATOR → POST_DELIVERY fixpoint), which reproduces exactly the
 ``(time, priority, seq)`` pop order of the single heap.  A zero-latency
-model degenerates to phase-stepping every instant (correct, not parallel).
+model degenerates to phase-stepping every instant.
 
 Deterministic boundary merge
 ----------------------------
@@ -164,14 +157,6 @@ class _SchedulerFacade:
         return self._runtime._control.current_priority
 
     def schedule(self, time: float, priority: int, fn: Callable[[float], None]):
-        if self._runtime._pool is not None:
-            raise RuntimeError(
-                "the control-lane scheduler cannot accept new events under "
-                "sharded_processes: fault injection and heartbeat detection "
-                "schedule through it post-fork, which the worker replicas "
-                "would never see — run those scenarios with inline shards "
-                "(sharded_processes=False)"
-            )
         return self._runtime._spawn(self._runtime._control, time, priority, fn)
 
 
@@ -180,9 +165,7 @@ class ShardedRuntime:
 
     Mirrors the :class:`EventRuntime` constructor and lifecycle API so the
     simulator, the failure detector and the fault injector can use either
-    interchangeably.  ``workers`` is the number of shards; ``processes=True``
-    executes them on a forked worker pool (multiprocess mode),
-    ``processes=False`` executes them inline.
+    interchangeably.  ``workers`` is the number of shards.
     """
 
     def __init__(
@@ -192,7 +175,6 @@ class ShardedRuntime:
         timer: Optional[Callable[[], float]] = None,
         checkpoint_interval: Optional[float] = None,
         workers: int = 2,
-        processes: bool = False,
         partition: Optional[Mapping[str, int]] = None,
     ) -> None:
         if checkpoint_interval is not None and checkpoint_interval <= 0:
@@ -223,7 +205,6 @@ class ShardedRuntime:
         # barriers, so these globally-visible events run phase-interleaved
         # with every shard at a consistent instant.
         self._control = EventScheduler(start=start)
-        self._pool = None
         self.scheduler = _SchedulerFacade(self)
         self._events: Dict[PyTuple[str, ...], object] = {}
         self._pending: Set[PyTuple[int, float, int]] = set()
@@ -264,10 +245,6 @@ class ShardedRuntime:
             self._schedule_coordinator(coordinator)
         if checkpoint_interval is not None:
             self._schedule_checkpoints(checkpoint_interval)
-        if processes:
-            from .workers import ShardWorkerPool
-
-            self._pool = ShardWorkerPool(self)
 
     # ------------------------------------------------------------- action tokens
     def _action_token(self) -> tuple:
@@ -528,13 +505,12 @@ class ShardedRuntime:
             if duration_seconds is None or duration_seconds <= 0:
                 raise ValueError(f"duration must be positive, got {duration_seconds}")
             ticks = max(1, int(round(duration_seconds / self.default_interval)))
+        elif ticks < 1:
+            raise ValueError(f"ticks must be at least 1, got {ticks}")
         self._started = True
         for _ in range(ticks):
             self._horizon += self.default_interval
-        if self._pool is not None:
-            self._pool.run_to(self._horizon, ticks)
-        else:
-            self._run_to(self._horizon)
+        self._run_to(self._horizon)
         self.system.now = self._horizon
         self.system.ticks += ticks
 
@@ -674,10 +650,7 @@ class ShardedRuntime:
                 sched.now = t
 
     def close(self) -> None:
-        """Detach from the network (and stop the worker pool, if any)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Detach from the network."""
         network = self.network
         if network.send_listener is self._send_hook:
             network.send_listener = None
@@ -694,12 +667,6 @@ class ShardedRuntime:
         if now > self.system.now:
             self.system.now = now
 
-    def _lifecycle(self, op: str, *args, **kwargs):
-        """Run a lifecycle op locally or through the worker pool."""
-        if self._pool is not None:
-            return self._pool.lifecycle(op, args, kwargs)
-        return getattr(self, "_local_" + op)(*args, **kwargs)
-
     def deploy_query(
         self,
         query_id: str,
@@ -707,18 +674,6 @@ class ShardedRuntime:
         sources: Sequence[object],
         placement: Mapping[str, str],
         nominal_rates: Optional[Dict[str, float]] = None,
-    ) -> DeployedQuery:
-        return self._lifecycle(
-            "deploy_query",
-            query_id,
-            fragments,
-            sources,
-            placement,
-            nominal_rates=nominal_rates,
-        )
-
-    def _local_deploy_query(
-        self, query_id, fragments, sources, placement, nominal_rates=None
     ) -> DeployedQuery:
         self._sync_system_clock()
         deployed = self.system.deploy_query(
@@ -730,9 +685,6 @@ class ShardedRuntime:
         return deployed
 
     def undeploy_query(self, query_id: str) -> QueryCoordinator:
-        return self._lifecycle("undeploy_query", query_id)
-
-    def _local_undeploy_query(self, query_id: str) -> QueryCoordinator:
         query = self.system.queries.get(query_id)
         coordinator = self.system.undeploy_query(query_id)
         if query is not None:
@@ -744,9 +696,6 @@ class ShardedRuntime:
     def add_node(
         self, node: FspsNode, shedding_interval: Optional[float] = None
     ) -> FspsNode:
-        return self._lifecycle("add_node", node, shedding_interval=shedding_interval)
-
-    def _local_add_node(self, node, shedding_interval=None) -> FspsNode:
         self.system.add_node(node)
         if shedding_interval is not None:
             self._node_intervals[node.node_id] = float(shedding_interval)
@@ -756,9 +705,6 @@ class ShardedRuntime:
     def migrate_fragment(
         self, fragment_id: str, target_node_id: str
     ) -> MigrationReport:
-        return self._lifecycle("migrate_fragment", fragment_id, target_node_id)
-
-    def _local_migrate_fragment(self, fragment_id, target_node_id) -> MigrationReport:
         self._sync_system_clock()
         source_id = self.system.placement.get(fragment_id)
         report = self.system.migrate_fragment(fragment_id, target_node_id)
@@ -774,21 +720,19 @@ class ShardedRuntime:
         table on delivery (:meth:`FederatedSystem.dispatch` forwards them),
         so their queue entries must drain on the shard that owns the *new*
         host — otherwise the forwarded processing would mutate the target
-        node from the source node's shard, breaking both the one-shard-per-
-        node state ownership the windows rely on and (in multiprocess mode)
-        process isolation.  Entries keep their tokens: they merge into the
-        new shard's heap exactly where the global order puts them.
+        node from the source node's shard, breaking the one-shard-per-node
+        state ownership the windows rely on.  Entries keep their tokens:
+        they merge into the new shard's heap exactly where the global order
+        puts them.
         """
         if source_id is None:
             return
         src = self._plan.endpoint_shard(source_id)
         dst = self._plan.endpoint_shard(target_node_id)
-        if src != dst:
-            self._inject_inflight(self._extract_inflight_for(fragment_id, src), dst)
-
-    def _extract_inflight_for(self, fragment_id: str, shard: int) -> List:
-        """Pop the in-flight data entries bound for ``fragment_id`` off a shard."""
-        queue = self.network._shard_queues[shard]
+        if src == dst:
+            return
+        queues = self.network._shard_queues
+        queue = queues[src]
         moved = [
             entry
             for entry in queue
@@ -796,23 +740,18 @@ class ShardedRuntime:
             and entry.message.kind == "data"
             and entry.message.target_fragment_id == fragment_id
         ]
-        if moved:
-            gone = {id(entry) for entry in moved}
-            queue[:] = [entry for entry in queue if id(entry) not in gone]
-            heapq.heapify(queue)
-        return moved
-
-    def _inject_inflight(self, entries, shard: int) -> None:
-        for entry in entries:
-            heapq.heappush(self.network._shard_queues[shard], entry)
-            self._on_enqueue(entry, shard)
+        if not moved:
+            return
+        gone = {id(entry) for entry in moved}
+        queue[:] = [entry for entry in queue if id(entry) not in gone]
+        heapq.heapify(queue)
+        for entry in moved:
+            heapq.heappush(queues[dst], entry)
+            self._on_enqueue(entry, dst)
 
     def remove_node(
         self, node_id: str, migrate_to: Optional[Sequence[str]] = None
     ) -> FspsNode:
-        return self._lifecycle("remove_node", node_id, migrate_to=migrate_to)
-
-    def _local_remove_node(self, node_id, migrate_to=None) -> FspsNode:
         self._sync_system_clock()
         hosting = self.system.nodes.get(node_id)
         hosted = list(hosting.fragments) if hosting is not None else []
@@ -826,9 +765,6 @@ class ShardedRuntime:
         return node
 
     def fail_node(self, node_id: str) -> FspsNode:
-        return self._lifecycle("fail_node", node_id)
-
-    def _local_fail_node(self, node_id: str) -> FspsNode:
         self._sync_system_clock()
         node = self.system.fail_node(node_id)
         self._cancel("node", node_id)
@@ -836,18 +772,12 @@ class ShardedRuntime:
         return node
 
     def crash_node_silently(self, node_id: str) -> None:
-        return self._lifecycle("crash_node_silently", node_id)
-
-    def _local_crash_node_silently(self, node_id: str) -> None:
         if node_id not in self.system.nodes:
             raise ValueError(f"node {node_id!r} does not exist")
         self._cancel("node", node_id)
         self.system.network.dead_endpoints.add(node_id)
 
     def repair_node(self, node_id: str) -> None:
-        return self._lifecycle("repair_node", node_id)
-
-    def _local_repair_node(self, node_id: str) -> None:
         self.system.network.dead_endpoints.discard(node_id)
 
     def node_running(self, node_id: str) -> bool:
@@ -856,9 +786,6 @@ class ShardedRuntime:
     def rejoin_node(
         self, node: FspsNode, shedding_interval: Optional[float] = None
     ) -> RejoinReport:
-        return self._lifecycle("rejoin_node", node, shedding_interval=shedding_interval)
-
-    def _local_rejoin_node(self, node, shedding_interval=None) -> RejoinReport:
         self._sync_system_clock()
         report = self.system.rejoin_node(node)
         if shedding_interval is not None:
@@ -867,9 +794,6 @@ class ShardedRuntime:
         return report
 
     def fail_coordinator(self, query_id: str) -> QueryCoordinator:
-        return self._lifecycle("fail_coordinator", query_id)
-
-    def _local_fail_coordinator(self, query_id: str) -> QueryCoordinator:
         self._sync_system_clock()
         self._cancel("coordinator", query_id)
         failed = self.system.fail_coordinator(query_id)
@@ -877,8 +801,5 @@ class ShardedRuntime:
         return failed
 
     def checkpoint_now(self) -> int:
-        return self._lifecycle("checkpoint_now")
-
-    def _local_checkpoint_now(self) -> int:
         self._sync_system_clock()
         return self.system.checkpoint_all(self.system.now)

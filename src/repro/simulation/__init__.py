@@ -1,12 +1,10 @@
 """Time-stepped simulation substrate."""
 
-from .clock import SimulationClock
 from .config import SimulationConfig
 from .results import NodeSummary, RunResult
 from .simulator import Simulator
 
 __all__ = [
-    "SimulationClock",
     "SimulationConfig",
     "NodeSummary",
     "RunResult",

@@ -21,9 +21,8 @@ __all__ = ["SimulationConfig", "RUNTIMES"]
 # Execution drivers: "event" is the discrete-event runtime
 # (:mod:`repro.runtime`); "lockstep" is the original global tick loop, kept
 # as the equivalence oracle and perf baseline; "sharded" partitions the
-# event runtime by site into per-shard schedulers (inline by default,
-# ``sharded_processes=True`` for a multiprocessing worker pool) with results
-# bit-identical to "event".
+# event runtime by site into per-shard schedulers, executed in this process,
+# with results bit-identical to "event".
 RUNTIMES = ("event", "lockstep", "sharded")
 
 
@@ -99,8 +98,6 @@ class SimulationConfig:
             homogeneous-interval runs are result-identical under all three.
         workers / shard_partition: shard count of the sharded driver and
             optional node id → shard overrides.
-        sharded_processes: run the sharded driver's shards in a forked
-            worker pool instead of inline.
         node_shedding_intervals: per-node shedding-interval overrides (node
             id → seconds), honoured by the event runtime only — the lockstep
             loop is homogeneous by construction.
@@ -154,7 +151,6 @@ class SimulationConfig:
     columnar: bool = True
     runtime: str = field(default_factory=_default_runtime)
     workers: int = field(default_factory=_default_workers)
-    sharded_processes: bool = False
     shard_partition: Dict[str, int] = field(default_factory=dict)
     node_shedding_intervals: Dict[str, float] = field(default_factory=dict)
     checkpoint_interval: Optional[float] = None
@@ -201,17 +197,6 @@ class SimulationConfig:
                     f"shard_partition[{node_id!r}] must be in [0, "
                     f"{self.workers}), got {shard}"
                 )
-        if self.sharded_processes and self.runtime != "sharded":
-            raise ValueError(
-                "sharded_processes requires runtime='sharded', got "
-                f"runtime={self.runtime!r}"
-            )
-        if self.sharded_processes and self.heartbeat_interval is not None:
-            raise ValueError(
-                "sharded_processes cannot run heartbeat failure detection "
-                "(the detector schedules control events after the workers "
-                "fork); use inline shards (sharded_processes=False)"
-            )
         for node_id, interval in self.node_shedding_intervals.items():
             if interval <= 0:
                 raise ValueError(

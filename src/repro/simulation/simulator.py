@@ -18,7 +18,6 @@ from ..federation.fsps import FederatedSystem
 from ..metrics.collectors import summarize_backpressure, summarize_network
 from ..perf import PerfRegistry, Stopwatch
 from ..runtime import EventRuntime, FailureDetector, ShardedRuntime
-from .clock import SimulationClock
 from .config import SimulationConfig
 from .results import NodeSummary, RunResult
 
@@ -50,7 +49,6 @@ class Simulator:
         self.config = config
         self.measure_shedder_time = measure_shedder_time
         self.perf_registry = perf_registry
-        self.clock = SimulationClock(config.shedding_interval)
 
     def run(self) -> RunResult:
         """Execute warm-up plus measurement period and summarise the run."""
@@ -62,7 +60,6 @@ class Simulator:
         run_watch = Stopwatch().start() if registry is not None else None
         if self.config.runtime == "lockstep":
             for _ in range(total_ticks):
-                self.clock.advance()
                 if registry is not None:
                     with registry.time("simulator.tick"):
                         self.system.tick(timer=timer)
@@ -80,7 +77,6 @@ class Simulator:
                     timer=timer,
                     checkpoint_interval=self.config.checkpoint_interval,
                     workers=self.config.workers,
-                    processes=self.config.sharded_processes,
                     partition=self.config.shard_partition,
                 )
             else:
@@ -106,8 +102,6 @@ class Simulator:
                 if detector is not None:
                     detector.close()
                 runtime.close()
-            for _ in range(total_ticks):
-                self.clock.advance()
         if registry is not None and run_watch is not None:
             registry.record("simulator.run", run_watch.stop())
             registry.incr("simulator.ticks", total_ticks)

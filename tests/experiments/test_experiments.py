@@ -102,10 +102,10 @@ class TestTestbeds:
             max_result_values=10,
             seed=5,
         )
-        # The fork pool cannot run heartbeat detection, so the two go into
-        # separate configs; between them every field is off its default.
+        # Two drivers, so `runtime` is off its default under any
+        # REPRO_RUNTIME; between them every field is off its default.
         configs = [
-            SimulationConfig(runtime="sharded", sharded_processes=True, **common),
+            SimulationConfig(runtime="sharded", **common),
             SimulationConfig(runtime="lockstep", heartbeat_interval=0.5, **common),
         ]
         defaults = SimulationConfig()

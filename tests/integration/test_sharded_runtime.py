@@ -1,18 +1,16 @@
 """Differential tests: sharded runtime ≡ single-heap event runtime.
 
-The acceptance bar for the sharded driver is bit-exact result identity with
-``runtime="event"`` for equal seeds, in **both** execution modes:
-
-* inline shards — per-site schedulers executed sequentially window by
-  window in this process (the debuggable default);
-* multiprocess shards — forked worker processes, boundary traffic crossing
-  process borders through the wire serializers.
+The acceptance bar for the sharded driver — per-site schedulers executed
+sequentially window by window in this process — is bit-exact result
+identity with ``runtime="event"`` for equal seeds.
 
 The matrix covers LAN / WAN / zero-latency networks, bursty sources,
-reliable delivery, explicit partition maps, off-cadence coordinator
-updates, and the full lifecycle set (mid-run migration, node fail/rejoin,
-coordinator failover) — each compared against the identical seeded run
-under the single-heap runtime, field for field.
+reliable delivery, explicit partition maps, two and three shards,
+off-cadence coordinator updates, and the full lifecycle set (mid-run
+migration, node fail/rejoin, coordinator failover, query deploy/undeploy,
+node add/remove) on lookahead windows and on zero-latency phase-stepping —
+each compared against the identical seeded run under the single-heap
+runtime, field for field.
 
 Fault-injection reproducibility rides along: the injector draws every
 probabilistic decision from a per-link child RNG (seeded by a stable
@@ -20,8 +18,6 @@ SHA-256 hash, not the salted builtin ``hash()``), so the same plan + seed
 injects the *same* faults under both drivers even though their global send
 interleavings differ — asserted here end to end.
 """
-
-import os
 
 import pytest
 
@@ -63,7 +59,6 @@ def run_federated(
     runtime,
     latency=0.005,
     workers=2,
-    processes=False,
     partition=None,
     bursty=False,
     reliable=False,
@@ -79,7 +74,6 @@ def run_federated(
         reliable_delivery=reliable,
         runtime=runtime,
         workers=workers,
-        sharded_processes=processes,
         shard_partition=partition or {},
         retain_result_values=True,
         seed=3,
@@ -137,14 +131,11 @@ def make_local_system(latency, num_nodes=3, queries=3, reliable=False):
     return system
 
 
-def make_runtime(system, kind, workers=2, processes=False, checkpoint_interval=None):
+def make_runtime(system, kind, workers=2, checkpoint_interval=None):
     if kind == "event":
         return EventRuntime(system, checkpoint_interval=checkpoint_interval)
     return ShardedRuntime(
-        system,
-        checkpoint_interval=checkpoint_interval,
-        workers=workers,
-        processes=processes,
+        system, checkpoint_interval=checkpoint_interval, workers=workers
     )
 
 
@@ -171,21 +162,26 @@ def observables(system):
     )
 
 
+def deploy_late_query(runtime, node_id):
+    query = make_aggregate_query("max", query_id="q-late", rate=80.0, seed=7)
+    runtime.deploy_query(
+        query.query_id,
+        query.fragments,
+        query.sources,
+        {fid: node_id for fid in query.fragments},
+    )
+
+
 def run_scenario(
     kind,
     scenario,
     workers=2,
-    processes=False,
     latency=0.005,
     checkpoint_interval=None,
 ):
     system = make_local_system(latency)
     runtime = make_runtime(
-        system,
-        kind,
-        workers=workers,
-        processes=processes,
-        checkpoint_interval=checkpoint_interval,
+        system, kind, workers=workers, checkpoint_interval=checkpoint_interval
     )
     runtime.run(4.0)
     if scenario == "migrate":
@@ -198,6 +194,16 @@ def run_scenario(
         runtime.rejoin_node(make_node("node-1", seed=9))
     elif scenario == "failcoord":
         runtime.fail_coordinator("q0")
+    elif scenario == "deploy":
+        deploy_late_query(runtime, "node-1")
+    elif scenario == "undeploy":
+        runtime.undeploy_query("q1")
+    elif scenario == "addnode":
+        runtime.add_node(make_node("node-3", seed=7))
+        deploy_late_query(runtime, "node-3")
+    elif scenario == "remove":
+        runtime.remove_node("node-1")
+        assert "node-1" not in system.nodes
     elif scenario != "plain":  # pragma: no cover - test bug guard
         raise ValueError(scenario)
     runtime.run(4.0)
@@ -254,90 +260,37 @@ class TestInlineShardedIdentity:
 
 
 class TestInlineLifecycleIdentity:
+    @pytest.mark.parametrize("latency", [0.005, 0.0], ids=["lan", "zero"])
+    @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
-        "scenario", ["plain", "migrate", "failrejoin", "failcoord"]
+        "scenario",
+        [
+            "plain",
+            "migrate",
+            "failrejoin",
+            "failcoord",
+            "deploy",
+            "undeploy",
+            "addnode",
+            "remove",
+        ],
     )
-    def test_scenario_identical(self, scenario):
+    def test_scenario_identical(self, scenario, workers, latency):
         checkpoint = INTERVAL * 3 if scenario != "plain" else None
         assert run_scenario(
-            "sharded", scenario, checkpoint_interval=checkpoint
-        ) == run_scenario("event", scenario, checkpoint_interval=checkpoint)
+            "sharded",
+            scenario,
+            workers=workers,
+            latency=latency,
+            checkpoint_interval=checkpoint,
+        ) == run_scenario(
+            "event", scenario, latency=latency, checkpoint_interval=checkpoint
+        )
 
     def test_migration_under_wan_identical(self):
         assert run_scenario("sharded", "migrate", latency=0.05) == run_scenario(
             "event", "migrate", latency=0.05
         )
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="multiprocess shards require fork"
-)
-class TestMultiprocessIdentity:
-    @pytest.mark.parametrize("latency", [0.005, 0.05], ids=["lan", "wan"])
-    def test_latency_matrix_identical(self, latency):
-        assert_identical(
-            run_federated("sharded", latency=latency, workers=2, processes=True),
-            run_federated("event", latency=latency),
-        )
-
-    def test_three_workers_identical(self):
-        assert_identical(
-            run_federated("sharded", workers=3, processes=True),
-            run_federated("event"),
-        )
-
-    def test_reliable_delivery_identical(self):
-        assert_identical(
-            run_federated("sharded", reliable=True, processes=True),
-            run_federated("event", reliable=True),
-        )
-
-    @pytest.mark.parametrize("scenario", ["migrate", "failrejoin", "failcoord"])
-    def test_lifecycle_identical(self, scenario):
-        assert run_scenario(
-            "sharded",
-            scenario,
-            workers=3,
-            processes=True,
-            checkpoint_interval=INTERVAL * 3,
-        ) == run_scenario(
-            "event", scenario, checkpoint_interval=INTERVAL * 3
-        )
-
-
-class TestMultiprocessRestrictions:
-    def test_zero_lookahead_rejected(self):
-        system = make_local_system(0.0)
-        with pytest.raises(ValueError, match="lookahead"):
-            ShardedRuntime(system, workers=2, processes=True)
-
-    def test_config_rejects_heartbeat_with_processes(self):
-        with pytest.raises(ValueError, match="heartbeat"):
-            SimulationConfig(
-                runtime="sharded", sharded_processes=True, heartbeat_interval=0.5
-            )
-
-    def test_config_rejects_processes_without_sharded_runtime(self):
-        with pytest.raises(ValueError, match="sharded"):
-            SimulationConfig(runtime="event", sharded_processes=True)
-
-    def test_unsupported_lifecycle_op_raises(self):
-        system = make_local_system(0.005)
-        runtime = ShardedRuntime(system, workers=2, processes=True)
-        try:
-            with pytest.raises(NotImplementedError):
-                runtime.remove_node("node-2")
-        finally:
-            runtime.close()
-
-    def test_post_fork_control_schedule_raises(self):
-        system = make_local_system(0.005)
-        runtime = ShardedRuntime(system, workers=2, processes=True)
-        try:
-            with pytest.raises(RuntimeError, match="control-lane"):
-                runtime.scheduler.schedule(1.0, -1, lambda now: None)
-        finally:
-            runtime.close()
 
 
 class TestShardedChaosReproducibility:

@@ -8,7 +8,7 @@ from repro.core.stw import StwConfig
 from repro.federation.fsps import FederatedSystem
 from repro.federation.network import Network, UniformLatency
 from repro.federation.node import FspsNode
-from repro.runtime import EventRuntime
+from repro.runtime import EventRuntime, ShardedRuntime
 from repro.workloads.aggregate import make_aggregate_query
 
 INTERVAL = 0.25
@@ -477,3 +477,16 @@ class TestRuntimeHygiene:
         runtime = EventRuntime(make_system())
         with pytest.raises(ValueError):
             runtime.run(0.0)
+
+    @pytest.mark.parametrize("ticks", [0, -3])
+    @pytest.mark.parametrize("runtime_cls", [EventRuntime, ShardedRuntime])
+    def test_run_rejects_non_positive_ticks(self, runtime_cls, ticks):
+        system = make_system()
+        deploy(system, "q0", "node-0")
+        runtime = runtime_cls(system)
+        runtime.run(ticks=4)
+        with pytest.raises(ValueError):
+            runtime.run(ticks=ticks)
+        # A rejected call leaves the tick counter and the clock where they were.
+        assert system.ticks == 4
+        assert system.now == pytest.approx(1.0)

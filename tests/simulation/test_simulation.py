@@ -1,51 +1,13 @@
-"""Unit tests for the simulation clock, config, results and simulator."""
+"""Unit tests for the simulation config, results and simulator."""
 
 import pytest
 
 from repro.core.stw import StwConfig
-from repro.simulation.clock import SimulationClock
 from repro.simulation.config import SimulationConfig
 from repro.simulation.results import NodeSummary, RunResult
 from repro.simulation.simulator import Simulator
 from repro.streaming.engine import LocalEngine
 from repro.workloads.complex import make_cov_query
-
-
-class TestSimulationClock:
-    def test_advance_and_elapsed(self):
-        clock = SimulationClock(0.25)
-        assert clock.now == 0.0
-        clock.advance()
-        clock.advance()
-        assert clock.now == pytest.approx(0.5)
-        assert clock.ticks == 2
-        assert clock.elapsed == pytest.approx(0.5)
-
-    def test_iterate_covers_duration(self):
-        clock = SimulationClock(0.25)
-        times = list(clock.iterate(1.0))
-        assert len(times) == 4
-        assert times[-1] == pytest.approx(1.0)
-
-    def test_is_multiple_of(self):
-        clock = SimulationClock(0.25)
-        clock.advance()  # 0.25
-        assert clock.is_multiple_of(0.25)
-        assert not clock.is_multiple_of(1.0)
-
-    def test_reset(self):
-        clock = SimulationClock(0.5)
-        clock.advance()
-        clock.reset()
-        assert clock.now == 0.0 and clock.ticks == 0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SimulationClock(0.0)
-        with pytest.raises(ValueError):
-            list(SimulationClock(0.25).iterate(0.0))
-        with pytest.raises(ValueError):
-            SimulationClock(0.25).is_multiple_of(0.0)
 
 
 class TestSimulationConfig:
