@@ -55,7 +55,8 @@ class ConstantColumn:
     instead of filling a fresh object array per block, the source keeps one
     read-only array as long as its largest block so far and every block's
     column is a prefix view of it.  Sharing is safe because columns are
-    rebind-only (masks gather into new arrays, checkpoints copy), and the
+    rebind-only (masks gather into new arrays, checkpoints share frozen
+    views), and the
     array is marked non-writeable so a kernel that breaks that rule raises
     instead of corrupting every block of the source.
     """

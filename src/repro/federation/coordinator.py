@@ -216,7 +216,10 @@ class CoordinatorRegistry:
         # (fragment id -> envelope; node rejoin restores from these) and the
         # standby coordinator states (query id -> snapshot; failover promotes
         # from these).  Held at the registry so they survive the failure of
-        # an individual coordinator.
+        # an individual coordinator.  Envelopes reference the fragments'
+        # frozen column arrays rather than copying them, so the store costs
+        # metadata, not rows (see repro.state.checkpoint).  The standby
+        # store holds at most one snapshot per live query.
         self._fragment_checkpoints: Dict[str, FragmentCheckpoint] = {}
         self._standby_states: Dict[str, Dict[str, object]] = {}
 
@@ -301,8 +304,12 @@ class CoordinatorRegistry:
         The failed coordinator's live state (unpersisted result-SIC events,
         retained payloads) is lost; the standby restores from the last
         :meth:`checkpoint_coordinator` state, or starts blank when none was
-        ever taken.  Returns ``(failed, promoted)`` so callers can account
-        the loss (e.g. ``failed.result_tuples - promoted.result_tuples``).
+        ever taken.  The standby snapshot stays stored after the promotion:
+        a second failover before the next checkpoint round promotes the same
+        checkpointed ledger again, so replays the first standby had already
+        acknowledged are still deduplicated.  Returns ``(failed, promoted)``
+        so callers can account the loss (e.g. ``failed.result_tuples -
+        promoted.result_tuples``).
         """
         try:
             failed = self._coordinators.pop(query_id)
@@ -315,13 +322,10 @@ class CoordinatorRegistry:
             retain_results=self.retain_results,
             max_retained_results=self.max_retained_results,
         )
-        # The standby snapshot is consumed by the promotion: keeping it
-        # would only grow the store with state the promoted coordinator now
-        # carries live (the next checkpoint round records a fresh one).  A
-        # second failover before that round starts blank — and the blank
-        # restore is exactly accounted as lost_to_crash by the system-level
-        # result ledger rather than silently restoring stale watermarks.
-        standby = self._standby_states.pop(query_id, None)
+        # The standby is kept, not consumed: restore_state copies out of it,
+        # so the snapshot is still the last checkpointed state, and the
+        # store stays bounded at one entry per live query.
+        standby = self._standby_states.get(query_id)
         if standby is not None:
             promoted.restore_state(standby)
         self._coordinators[query_id] = promoted

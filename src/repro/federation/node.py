@@ -258,7 +258,9 @@ class FspsNode:
             detach: when true, the checkpointed state *leaves* this node —
                 the buffered batches are drained from the input buffer and
                 the fragment is unhosted (the migration path).  When false
-                the node is untouched (the periodic-checkpoint path).
+                the node is untouched (the periodic-checkpoint path) — its
+                column arrays are referenced by the envelope and marked
+                read-only, which changes no value.
         """
         fragment = self.fragments.get(fragment_id)
         if fragment is None:
@@ -300,9 +302,11 @@ class FspsNode:
         """Host ``fragment`` and restore its state from ``checkpoint``.
 
         The fragment's operator state is rebuilt entirely from the envelope's
-        serialised form (no live structure is shared with the previous host),
-        the host context is applied, and the checkpointed input-buffer
-        batches are replayed into this node's buffer in their original order.
+        serialised form — its column arrays are shared read-only with the
+        envelope (and so with the previous host), everything mutable is
+        fresh — the host context is applied, and the checkpointed
+        input-buffer batches are replayed into this node's buffer in their
+        original order.
         Replayed batches do **not** count as newly received — the federation
         already counted them on first delivery.
 

@@ -754,7 +754,12 @@ def time_migration(
     * ``"roundtrip"`` — ``snapshot()`` into the serialised checkpoint form
       plus ``restore()`` into a fresh window, i.e. the full
       state-transfer cost of :meth:`FspsNode.checkpoint_fragment` →
-      ``adopt_fragment`` for that window.
+      ``adopt_fragment`` for that window.  Checkpoints share the window's
+      column arrays as read-only views (:mod:`repro.state.checkpoint`), so
+      on the numpy backend this is O(ranges), not O(rows): freezing each
+      array, one slice view per column per range and one block per range
+      each way — no row is copied.  On the list backend every range's
+      columns are still sliced into copies.
 
     The round-trip is verified to conserve the tuple count and the
     incrementally-maintained pane SIC bit for bit.

@@ -8,9 +8,30 @@ Design constraints, in order:
    (pane SIC, batch header SIC — which may be prefix-derived after a
    ``Batch.split``) are therefore recorded verbatim rather than re-summed on
    restore.
-2. **Isolation** — restored state shares no mutable structure with the
-   source: every list, dict and column is copied through the plain-data
-   form, so a migrated fragment cannot alias its old host's buffers.
+2. **Shared immutable columns** — a checkpoint holds *references* to
+   column arrays, never copies.  The contract that makes this safe is the
+   columnar layer's own: a :class:`~repro.core.columns.ColumnBlock`'s arrays
+   are never written in place once the block is built (kernels rebind whole
+   columns).  :func:`block_to_state` enforces it as a tripwire by marking
+   the array it was handed read-only (``flags.writeable = False``) and
+   storing a slice view of it, so a later in-place write raises instead of
+   silently changing a stored envelope; :func:`block_from_state` shares the
+   envelope's arrays with the restored block, so migration, rejoin and
+   restore move metadata only.  Everything mutable that is not a frozen
+   array is copied through the plain-data form: lists (list-backend columns
+   cannot be frozen, so they keep their slice copy), dicts and tuples.  A
+   migrated fragment therefore aliases its old host's columns but can
+   change none of them.
+
+   Audit of the in-place array writers in ``src/`` (none reaches an array
+   held by a block, hence none reaches an envelope): ``columns.
+   _payload_column``'s element fill of the fresh object array it returns;
+   ``kernels.ConstantColumn.take``, whose shared array is already read-only
+   (the precedent for this tripwire); ``Batch.sic_prefix``'s
+   ``np.add.accumulate(..., out=)`` into a freshly allocated prefix; and
+   ``ColumnAppender``, which writes only at and beyond its fill mark
+   ``_len`` of buffers it allocated, while the blocks it builds view the
+   rows below that mark.
 3. **Schema checking** — a checkpoint names the component shape it was taken
    from (window kind and parameters, operator type and port count, fragment
    and query identifiers) and ``restore()`` refuses mismatches with
@@ -34,16 +55,17 @@ except ImportError:  # pragma: no cover - exercised only on stripped installs
     np = None
 
 
-def _copy_column(column, lo: int = 0, hi: Optional[int] = None):
-    """Copy one column slice into standalone storage (no aliasing).
+def _share_column(column, lo: int = 0, hi: Optional[int] = None):
+    """Rows ``lo:hi`` of one column as checkpoint storage.
 
-    Array columns stay arrays (a ``float64`` memcpy, far cheaper than
-    expanding 10⁵ rows into Python objects on the migration hot path); list
-    columns stay lists.  Either way the copy shares nothing with its source,
-    and :func:`block_from_state` re-normalizes to the active backend.
+    An array column is frozen in place and returned as a slice *view* — no
+    row is copied (see design constraint 2).  A list column is sliced into
+    a copy: a list cannot be made read-only, so sharing one would let a
+    later append or store reach the envelope.
     """
     if np is not None and isinstance(column, np.ndarray):
-        return column[lo:hi].copy() if (lo, hi) != (0, None) else column.copy()
+        column.flags.writeable = False
+        return column[lo:hi]
     return column[lo:hi]
 
 __all__ = [
@@ -91,27 +113,30 @@ def tuple_from_state(state: Dict[str, Any]) -> Tuple:
 def block_to_state(
     block: ColumnBlock, lo: int = 0, hi: Optional[int] = None
 ) -> Dict[str, Any]:
-    """Serialise rows ``lo:hi`` of a column group as copied columns.
+    """Serialise rows ``lo:hi`` of a column group by reference.
 
-    Columns keep their container kind (ndarray or list) — the state is still
-    plain data in the sense that matters (copied, self-contained, version-
-    checked), and restoring under either backend re-normalizes it.
+    Array columns are frozen and stored as read-only views of the block's
+    own arrays; list columns are copied.  Columns keep their container kind
+    (ndarray or list), and restoring under either backend re-normalizes
+    them.
     """
     if hi is None:
         hi = len(block)
     return {
-        "timestamps": _copy_column(block.timestamps, lo, hi),
-        "sics": _copy_column(block.sics, lo, hi),
-        "values": {f: _copy_column(col, lo, hi) for f, col in block.values.items()},
+        "timestamps": _share_column(block.timestamps, lo, hi),
+        "sics": _share_column(block.sics, lo, hi),
+        "values": {f: _share_column(col, lo, hi) for f, col in block.values.items()},
         "source_id": block.source_id,
     }
 
 
 def block_from_state(state: Dict[str, Any]) -> ColumnBlock:
+    """Rebuild a block that shares the envelope's (read-only) array columns;
+    list columns are copied."""
     return ColumnBlock(
-        timestamps=_copy_column(state["timestamps"]),
-        sics=_copy_column(state["sics"]),
-        values={f: _copy_column(col) for f, col in state["values"].items()},
+        timestamps=_share_column(state["timestamps"]),
+        sics=_share_column(state["sics"]),
+        values={f: _share_column(col) for f, col in state["values"].items()},
         source_id=state["source_id"],
     )
 

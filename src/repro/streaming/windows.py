@@ -316,7 +316,9 @@ class _PaneAcc:
     def to_state(self) -> Dict[str, Any]:
         """Serialise the accumulator: items in insertion order, recorded SIC.
 
-        Column ranges are copied out as standalone blocks; the running SIC
+        Column ranges are recorded as standalone blocks of read-only views
+        of the live columns (frozen, not copied: a range held open across
+        several checkpoint rounds costs no rows per round); the running SIC
         and count are recorded verbatim (never re-summed on restore) so the
         incrementally-maintained pane SIC survives the round-trip bit for
         bit.

@@ -108,10 +108,15 @@ class TestExactlyOnceLedger:
         assert promoted.ledger.acked("f0", 0) == 1
         promoted.on_result(stamped_batch(1), now=2.5)
         assert promoted.ledger.deduped_tuples == 1
-        # The standby was consumed: a second failover starts a blank ledger.
-        _, blank = registry.fail_over("q")
-        assert blank.ledger.acked("f0", 0) == 0
-        assert blank.ledger.lane_count == 0
+        # The standby outlives the promotion: a second failover with no
+        # checkpoint in between promotes the same checkpointed ledger again,
+        # so a replay of seq 1 is still deduplicated.
+        _, again = registry.fail_over("q")
+        assert again.ledger.acked("f0", 0) == 1
+        again.on_result(stamped_batch(1), now=3.0)
+        assert again.ledger.deduped_tuples == 1
+        assert again.result_tuples == 1
+        assert registry.standby_store_size() == 1
 
 
 class TestCoordinatorRegistry:

@@ -312,6 +312,32 @@ class TestCoordinatorFailover:
         assert system.current_sic_per_query()["q0"] > 0.5
         assert promoted.updates_sent > 0
 
+    def test_double_failover_keeps_deduplicating_replays(self):
+        """Two coordinator crashes with no checkpoint round in between both
+        promote the checkpointed ledger, so replays it acknowledged dedup."""
+        system = make_local_system(0.005)
+        runtime = EventRuntime(system)  # checkpoint rounds taken by hand
+        runtime.run(4.0)
+        runtime.checkpoint_now()  # q0's root fragment envelope: seq S
+        runtime.run(2.0)  # q0 emits past S; the coordinator acks it
+        runtime.fail_node("node-0")
+        runtime.run(0.5)  # in-flight results drain to the coordinator
+        # Standby refreshed past S; node-0's envelope stays at S.
+        runtime.checkpoint_now()
+        runtime.fail_coordinator("q0")
+        runtime.fail_coordinator("q0")
+        before = system.result_accounting_report()
+        report = runtime.rejoin_node(make_node("node-0"))
+        assert report.restored_fragments
+        runtime.run(4.0)  # the restored fragment replays seqs above S
+        runtime.close()
+        after = system.result_accounting_report()
+        assert after["unaccounted_tuples"] == 0
+        assert after["lane_problems"] == []
+        assert after["deduped_tuples"] > before["deduped_tuples"]
+        for coordinator in system.coordinators.all():
+            assert all(0.0 <= sic <= 1.0 for _, sic in coordinator.tracker.history)
+
     def test_failover_without_standby_starts_blank(self):
         system = make_local_system(0.005)
         runtime = EventRuntime(system)  # no checkpoints -> no standby state

@@ -333,11 +333,12 @@ class TestSharedIdColumn:
 
             restored = batch_from_state(batch_to_state(kept))
             column = restored.block.values["id"]
-            assert not np.shares_memory(column, shared)
             assert column.tolist() == ["n0"] * 10
-            # A restored checkpoint owns its columns; writing one must not
-            # reach the source's cache.
-            column[0] = "restored-copy"
+            # A restored checkpoint shares the source's read-only column by
+            # reference; writing it raises instead of reaching the cache.
+            assert np.shares_memory(column, shared)
+            with pytest.raises(ValueError):
+                column[0] = "restored-copy"
 
             assert [t.values["id"] for t in shed.tuples] == ["n0"] * (n - 10)
             # Every later block still reads the untouched constant.
