@@ -65,7 +65,6 @@ def _share_column(column, lo: int = 0, hi: Optional[int] = None):
     """
     if np is not None and isinstance(column, np.ndarray):
         column.flags.writeable = False
-        return column[lo:hi]
     return column[lo:hi]
 
 __all__ = [
